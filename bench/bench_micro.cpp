@@ -3,6 +3,8 @@
 // experiment leans on.
 #include <benchmark/benchmark.h>
 
+#include <variant>
+
 #include "common/obj_set.h"
 #include "common/rng.h"
 #include "comm/skeen_multicast.h"
@@ -83,19 +85,57 @@ void BM_OracleChooseCons(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleChooseCons);
 
+/// comm::Port over a bare Transport that hands every message to one Skeen
+/// instance.
+class SkeenPort final : public comm::Port {
+ public:
+  explicit SkeenPort(net::Transport& net) : net_(net) {}
+  comm::SkeenMulticast* sk = nullptr;
+
+  void send(SiteId from, SiteId to, net::Msg m) override {
+    const std::uint64_t bytes = net::wire_size(m, 0);
+    const obs::MsgClass cls = net::msg_class(m);
+    net_.send(
+        from, to, bytes,
+        [this, from, to, m = std::move(m)] {
+          std::visit(
+              [&](const auto& x) {
+                if constexpr (comm::Handles<comm::SkeenMulticast,
+                                            std::decay_t<decltype(x)>>)
+                  sk->on(from, to, x);
+              },
+              m);
+        },
+        cls);
+  }
+  void run_after(SiteId /*at*/, SimDuration delay,
+                 std::function<void()> fn) override {
+    net_.simulator().after(delay, std::move(fn));
+  }
+  [[nodiscard]] bool site_down(SiteId /*s*/) const override { return false; }
+  [[nodiscard]] bool recovery_enabled() const override { return false; }
+  [[nodiscard]] obs::ObsPlane* plane() const override { return nullptr; }
+  [[nodiscard]] SimTime now() const override { return net_.simulator().now(); }
+
+ private:
+  net::Transport& net_;
+};
+
 void BM_SkeenMulticastRound(benchmark::State& state) {
   const auto dests = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
     net::Transport net(sim, net::Topology::uniform(8, milliseconds(10)));
+    SkeenPort port(net);
     int delivered = 0;
-    comm::SkeenMulticast sk(net,
-                            [&](SiteId, const comm::McastMsg&) { ++delivered; });
+    comm::SkeenMulticast sk(port, 8,
+                            [&](SiteId, const net::McastMsg&) { ++delivered; });
+    port.sk = &sk;
     std::vector<SiteId> d;
     for (SiteId s = 0; s < dests; ++s) d.push_back(s);
     sim.at(0, [&] {
       for (std::uint64_t i = 0; i < 64; ++i)
-        sk.multicast(comm::McastMsg{
+        sk.multicast(net::McastMsg{
             .id = i, .origin = 7, .dests = d, .bytes = 100});
     });
     sim.run();

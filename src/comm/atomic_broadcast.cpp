@@ -2,48 +2,44 @@
 
 namespace gdur::comm {
 
-AtomicBroadcast::AtomicBroadcast(net::Transport& transport, DeliverFn deliver,
+AtomicBroadcast::AtomicBroadcast(Port& port, int sites, DeliverFn deliver,
                                  SiteId sequencer)
-    : net_(transport),
+    : port_(port),
       deliver_(std::move(deliver)),
       sequencer_(sequencer),
-      majority_(transport.sites() / 2 + 1),
-      states_(static_cast<std::size_t>(transport.sites())) {}
+      majority_(sites / 2 + 1),
+      states_(static_cast<std::size_t>(sites)) {}
 
-void AtomicBroadcast::broadcast(McastMsg msg) {
+void AtomicBroadcast::broadcast(net::McastMsg msg) {
   // Step 1: ship the message to the sequencer.
-  const obs::MsgClass cls = msg.cls;
-  net_.send(
-      msg.origin, sequencer_, msg.bytes,
-      [this, msg = std::move(msg)] {
-        const std::uint64_t seq = next_seq_++;
-        // Step 2: the sequencer assigns the order and forwards to everyone.
-        // gdur-lint: allow(membership/hardcoded-sites) ordering-layer fan-out; non-members are fenced by member_of at delivery
-        for (SiteId d = 0; d < static_cast<SiteId>(net_.sites()); ++d) {
-          net_.send(sequencer_, d, msg.bytes + net::wire::control(),
-                    [this, d, seq, msg] { on_sequenced(d, seq, msg); },
-                    msg.cls);
-        }
-      },
-      cls);
+  const SiteId origin = msg.origin;
+  port_.send(origin, sequencer_,
+             net::AbSubmit{std::make_shared<const net::McastMsg>(std::move(msg))});
 }
 
-void AtomicBroadcast::on_sequenced(SiteId at, std::uint64_t seq,
-                                   const McastMsg& msg) {
-  Slot& slot = states_[at].slots[seq];
-  slot.msg = msg;
+void AtomicBroadcast::on(SiteId /*from*/, SiteId /*at*/,
+                         const net::AbSubmit& m) {
+  // Step 2: the sequencer assigns the order and forwards to everyone.
+  const std::uint64_t seq = next_seq_++;
+  // gdur-lint: allow(membership/hardcoded-sites) ordering-layer fan-out; non-members are fenced by member_of at delivery
+  for (SiteId d = 0; d < static_cast<SiteId>(sites()); ++d)
+    port_.send(sequencer_, d, net::AbSequenced{m.msg, seq});
+}
+
+void AtomicBroadcast::on(SiteId /*from*/, SiteId at,
+                         const net::AbSequenced& m) {
+  Slot& slot = states_[at].slots[m.seq];
+  slot.msg = m.msg;
   slot.sequenced = true;
   // Step 3: acknowledge to everyone (uniformity).
   // gdur-lint: allow(membership/hardcoded-sites) ordering-layer fan-out; non-members are fenced by member_of at delivery
-  for (SiteId d = 0; d < static_cast<SiteId>(net_.sites()); ++d) {
-    net_.send(at, d, net::wire::control(),
-              [this, d, seq] { on_ack(d, seq); }, obs::MsgClass::kOrdering);
-  }
+  for (SiteId d = 0; d < static_cast<SiteId>(sites()); ++d)
+    port_.send(at, d, net::AbAck{m.seq});
   try_deliver(at);
 }
 
-void AtomicBroadcast::on_ack(SiteId at, std::uint64_t seq) {
-  ++states_[at].slots[seq].acks;
+void AtomicBroadcast::on(SiteId /*from*/, SiteId at, const net::AbAck& m) {
+  ++states_[at].slots[m.seq].acks;
   try_deliver(at);
 }
 
@@ -55,10 +51,10 @@ void AtomicBroadcast::try_deliver(SiteId at) {
         it->second.acks < majority_) {
       return;
     }
-    const McastMsg msg = std::move(it->second.msg);
+    const net::McastPtr msg = std::move(it->second.msg);
     st.slots.erase(it);
     ++st.next;
-    deliver_(at, msg);
+    deliver_(at, *msg);
   }
 }
 

@@ -19,31 +19,27 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "comm/mcast_msg.h"
-#include "net/transport.h"
-#include "net/wire.h"
+#include "comm/port.h"
 
 namespace gdur::comm {
 
 class AtomicBroadcast {
  public:
-  AtomicBroadcast(net::Transport& transport, DeliverFn deliver,
+  AtomicBroadcast(Port& port, int sites, DeliverFn deliver,
                   SiteId sequencer = 0);
 
   /// Broadcasts `msg` to every site in the system (msg.dests is ignored).
-  void broadcast(McastMsg msg);
+  void broadcast(net::McastMsg msg);
 
-  /// Next undelivered sequence number at `site` (for tests).
-  [[nodiscard]] std::uint64_t next_to_deliver(SiteId site) const {
-    return states_[site].next;
-  }
+  void on(SiteId from, SiteId at, const net::AbSubmit& m);
+  void on(SiteId from, SiteId at, const net::AbSequenced& m);
+  void on(SiteId from, SiteId at, const net::AbAck& m);
 
  private:
   struct Slot {
-    McastMsg msg;
+    net::McastPtr msg;
     bool sequenced = false;
     int acks = 0;
   };
@@ -52,11 +48,10 @@ class AtomicBroadcast {
     std::uint64_t next = 0;               // next seq to deliver
   };
 
-  void on_sequenced(SiteId at, std::uint64_t seq, const McastMsg& msg);
-  void on_ack(SiteId at, std::uint64_t seq);
+  [[nodiscard]] int sites() const { return static_cast<int>(states_.size()); }
   void try_deliver(SiteId at);
 
-  net::Transport& net_;
+  Port& port_;
   DeliverFn deliver_;
   SiteId sequencer_;
   int majority_;

@@ -2,11 +2,9 @@
 
 namespace gdur::comm {
 
-void ReliableMulticast::multicast(const McastMsg& msg) {
-  for (SiteId d : msg.dests) {
-    net_.send(msg.origin, d, msg.bytes,
-              [this, d, msg] { deliver_(d, msg); }, msg.cls);
-  }
+void ReliableMulticast::multicast(net::McastMsg msg) {
+  const auto m = std::make_shared<const net::McastMsg>(std::move(msg));
+  for (SiteId d : m->dests) port_.send(m->origin, d, net::RmDeliver{m});
 }
 
 }  // namespace gdur::comm

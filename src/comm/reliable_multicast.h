@@ -1,25 +1,27 @@
 // Reliable multicast (M-Cast in the paper's pseudo-code).
 //
-// No ordering guarantee beyond the transport's per-link FIFO. Used for the
-// background propagation of version metadata in Walter and S-DUR
-// (post_commit), and as the dissemination step of two-phase commit.
+// No ordering guarantee beyond the port's per-link FIFO. Disseminates the
+// termination message of two-phase commit and Paxos Commit.
 #pragma once
 
-#include "comm/mcast_msg.h"
-#include "net/transport.h"
+#include "comm/port.h"
 
 namespace gdur::comm {
 
 class ReliableMulticast {
  public:
-  ReliableMulticast(net::Transport& transport, DeliverFn deliver)
-      : net_(transport), deliver_(std::move(deliver)) {}
+  ReliableMulticast(Port& port, DeliverFn deliver)
+      : port_(port), deliver_(std::move(deliver)) {}
 
   /// Sends `msg` to every destination in msg.dests.
-  void multicast(const McastMsg& msg);
+  void multicast(net::McastMsg msg);
+
+  void on(SiteId /*from*/, SiteId at, const net::RmDeliver& m) {
+    deliver_(at, *m.msg);
+  }
 
  private:
-  net::Transport& net_;
+  Port& port_;
   DeliverFn deliver_;
 };
 

@@ -19,48 +19,60 @@ const SimDuration kRecoveryDelay = milliseconds(250);
 constexpr std::size_t kRecentFinalCap = 4096;
 }  // namespace
 
-SkeenMulticast::SkeenMulticast(net::Transport& transport, DeliverFn deliver,
+SkeenMulticast::SkeenMulticast(Port& port, int sites, DeliverFn deliver,
                                bool fault_tolerant)
-    : net_(transport),
+    : port_(port),
       deliver_(std::move(deliver)),
       ft_(fault_tolerant),
-      states_(static_cast<std::size_t>(transport.sites())) {}
+      states_(static_cast<std::size_t>(sites)) {}
 
-void SkeenMulticast::multicast(const McastMsg& msg) {
+void SkeenMulticast::multicast(net::McastMsg msg) {
   assert(!msg.dests.empty());
   assert(std::is_sorted(msg.dests.begin(), msg.dests.end()));
-  for (SiteId d : msg.dests) {
-    net_.send(msg.origin, d, msg.bytes, [this, d, msg] { on_step1(d, msg); },
-              msg.cls);
-  }
+  const auto m = std::make_shared<const net::McastMsg>(std::move(msg));
+  for (SiteId d : m->dests) port_.send(m->origin, d, net::SkeenStep1{m});
 }
 
-void SkeenMulticast::on_step1(SiteId at, const McastMsg& msg) {
+void SkeenMulticast::on(SiteId /*from*/, SiteId at, const net::SkeenStep1& m) {
+  on_step1(at, m.msg);
+}
+
+void SkeenMulticast::on(SiteId /*from*/, SiteId at,
+                        const net::SkeenProposal& m) {
+  on_proposal(at, m.id, TsKey{m.ts, m.site});
+}
+
+void SkeenMulticast::on(SiteId /*from*/, SiteId at,
+                        const net::SkeenFinalKey& m) {
+  on_final_key(at, m.id, TsKey{m.ts, m.site});
+}
+
+void SkeenMulticast::on_step1(SiteId at, const net::McastPtr& msg) {
   SiteState& st = states_[at];
+  const std::uint64_t id = msg->id;
   // A recovery request can race with a retransmitted step 1 (each may
   // process the message first); the second arrival must not re-propose off
   // a fresh clock — destinations may never observe two different proposals
   // from one site — nor resurrect an already-delivered message.
-  if (st.pending.count(msg.id) != 0 || st.recent_final.count(msg.id) != 0)
-    return;
+  if (st.pending.count(id) != 0 || st.recent_final.count(id) != 0) return;
   const std::vector<SiteId>& proposers =
-      msg.proposers.empty() ? msg.dests : msg.proposers;
+      msg->proposers.empty() ? msg->dests : msg->proposers;
   const bool is_proposer =
       std::find(proposers.begin(), proposers.end(), at) != proposers.end();
 
   st.clock += 1;
-  Pending& p = st.pending[msg.id];
+  Pending& p = st.pending[id];
   p.msg = msg;
   p.proposals_needed = static_cast<int>(proposers.size());
   if (is_proposer) p.bound = TsKey{st.clock, at};
 
   // Apply proposals that raced ahead of the message.
-  if (auto it = st.early.find(msg.id); it != st.early.end()) {
+  if (auto it = st.early.find(id); it != st.early.end()) {
     const auto raced = std::move(it->second);
     st.early.erase(it);
-    for (const TsKey& k : raced) on_proposal(at, msg.id, k);
+    for (const TsKey& k : raced) on_proposal(at, id, k);
   }
-  arm_recovery(at, msg.id);
+  arm_recovery(at, id);
 
   if (!is_proposer) {
     try_deliver(at);  // the early proposals may already have finalized it
@@ -68,41 +80,28 @@ void SkeenMulticast::on_step1(SiteId at, const McastMsg& msg) {
   }
 
   const TsKey prop = TsKey{st.clock, at};
-  if (auto pit = st.pending.find(msg.id); pit != st.pending.end()) {
+  if (auto pit = st.pending.find(id); pit != st.pending.end()) {
     pit->second.my_prop = prop;
     pit->second.proposed = true;
   }
-  const auto dests = msg.dests;  // copy: p may be invalidated later
-  const std::uint64_t id = msg.id;
   if (ft_) {
     // Log the proposal at a witness before announcing it (2 extra delays).
-    const SiteId w = witness(at);
-    net_.send(at, w, net::wire::control(),
-              [this, at, w, id, prop, dests] {
-                net_.send(w, at, net::wire::control(),
-                          [this, at, id, prop, dests] {
-                            send_proposal(at, id, prop, dests);
-                          },
-                          obs::MsgClass::kOrdering);
-              },
-              obs::MsgClass::kOrdering);
+    port_.send(at, witness(at), net::SkeenWitness{.id = id});
   } else {
-    send_proposal(at, id, prop, dests);
+    send_proposal(at, id, prop, msg->dests);
   }
 }
 
 void SkeenMulticast::send_proposal(SiteId at, std::uint64_t id, TsKey prop,
                                    const std::vector<SiteId>& dests) {
-  if (auto* p = net_.plane())
+  if (auto* p = port_.plane())
     p->slot(at).record(obs::Counter::kOrderingMsgs,
                        static_cast<std::uint64_t>(dests.size()));
   for (SiteId d : dests) {
     if (d == at) {
       on_proposal(at, id, prop);
     } else {
-      net_.send(at, d, net::wire::control() + 16,
-                [this, d, id, prop] { on_proposal(d, id, prop); },
-                obs::MsgClass::kOrdering);
+      port_.send(at, d, net::SkeenProposal{id, prop.ts, prop.site});
     }
   }
 }
@@ -132,25 +131,33 @@ void SkeenMulticast::finalize(SiteId at, Pending& p) {
   if (ft_) {
     // Log the delivery decision at the witness before it takes effect.
     p.delivered_blocked = true;
-    const SiteId w = witness(at);
-    const std::uint64_t id = p.msg.id;
-    net_.send(at, w, net::wire::control(),
-              [this, at, w, id] {
-                net_.send(w, at, net::wire::control(),
-                          [this, at, id] {
-                            auto it = states_[at].pending.find(id);
-                            if (it == states_[at].pending.end()) return;
-                            it->second.finalized = true;
-                            it->second.delivered_blocked = false;
-                            try_deliver(at);
-                          },
-                          obs::MsgClass::kOrdering);
-              },
-              obs::MsgClass::kOrdering);
+    port_.send(at, witness(at),
+               net::SkeenWitness{.id = p.msg->id, .delivery = true});
   } else {
     p.finalized = true;
     try_deliver(at);
   }
+}
+
+void SkeenMulticast::on(SiteId from, SiteId at, const net::SkeenWitness& m) {
+  if (!m.echo) {
+    // Witness side: the record is logged; echo it back.
+    port_.send(at, from, net::SkeenWitness{m.id, m.delivery, /*echo=*/true});
+    return;
+  }
+  auto it = states_[at].pending.find(m.id);
+  if (it == states_[at].pending.end()) return;
+  Pending& p = it->second;
+  if (m.delivery) {
+    p.finalized = true;
+    p.delivered_blocked = false;
+    try_deliver(at);
+    return;
+  }
+  // The logged proposal may now be announced. Hold the message: the
+  // self-proposal can deliver it and drop the pending entry mid-loop.
+  const net::McastPtr msg = p.msg;
+  send_proposal(at, m.id, p.my_prop, msg->dests);
 }
 
 void SkeenMulticast::try_deliver(SiteId at) {
@@ -169,10 +176,10 @@ void SkeenMulticast::try_deliver(SiteId at) {
       }
     }
     if (best == nullptr || !best->finalized || best->delivered_blocked) return;
-    const McastMsg msg = best->msg;
-    remember_final(st, msg.id, best->final_key);
-    st.pending.erase(msg.id);
-    deliver_(at, msg);
+    const net::McastPtr msg = best->msg;
+    remember_final(st, msg->id, best->final_key);
+    st.pending.erase(msg->id);
+    deliver_(at, *msg);
   }
 }
 
@@ -181,11 +188,11 @@ void SkeenMulticast::try_deliver(SiteId at) {
 // ---------------------------------------------------------------------------
 
 void SkeenMulticast::arm_recovery(SiteId at, std::uint64_t id) {
-  if (net_.fault_injector() == nullptr) return;  // fault-free: cannot wedge
-  net_.simulator().after(kRecoveryDelay, [this, at, id] {
+  if (!port_.recovery_enabled()) return;  // fault-free: cannot wedge
+  port_.run_after(at, kRecoveryDelay, [this, at, id] {
     auto it = states_[at].pending.find(id);
     if (it == states_[at].pending.end()) return;  // delivered meanwhile
-    if (net_.cpu(at).down_at(net_.simulator().now())) {
+    if (port_.site_down(at)) {
       arm_recovery(at, id);  // crashed: look again after recovery
       return;
     }
@@ -201,37 +208,31 @@ void SkeenMulticast::arm_recovery(SiteId at, std::uint64_t id) {
       // A wedge candidate: the ordering layer is re-driving a message whose
       // proposals went missing — exactly what the flight recorder should
       // still hold when the watchdog trips on the stalled queue behind it.
-      if (auto* pl = net_.plane())
-        pl->ring(at).append("skeen_rerequest", net_.simulator().now(), at,
-                            id);
+      if (auto* pl = port_.plane())
+        pl->ring(at).append("skeen_rerequest", port_.now(), at, id);
       // Re-request every proposal still missing, attaching our copy of the
       // message for proposers whose step 1 died with a crash.
       const std::vector<SiteId>& proposers =
-          p.msg.proposers.empty() ? p.msg.dests : p.msg.proposers;
+          p.msg->proposers.empty() ? p.msg->dests : p.msg->proposers;
       for (SiteId d : proposers) {
         if (std::find(p.proposed_from.begin(), p.proposed_from.end(), d) !=
             p.proposed_from.end())
           continue;
-        const McastMsg copy = p.msg;
-        net_.send(at, d, net::wire::control() + copy.bytes,
-                  [this, d, id, copy, at] { on_retry_request(d, id, copy, at); },
-                  obs::MsgClass::kOrdering);
+        port_.send(at, d, net::SkeenRetry{p.msg});
       }
     }
     arm_recovery(at, id);
   });
 }
 
-void SkeenMulticast::on_retry_request(SiteId at, std::uint64_t id,
-                                      const McastMsg& msg, SiteId requester) {
+void SkeenMulticast::on(SiteId from, SiteId at, const net::SkeenRetry& m) {
   SiteState& st = states_[at];
+  const std::uint64_t id = m.msg->id;
   if (auto f = st.recent_final.find(id); f != st.recent_final.end()) {
     // Already delivered here: hand the requester the final timestamp, which
     // lets it finalize directly (the decision is the same at every site).
-    const TsKey key = f->second;
-    net_.send(at, requester, net::wire::control() + 16,
-              [this, requester, id, key] { on_final_key(requester, id, key); },
-              obs::MsgClass::kOrdering);
+    port_.send(at, from,
+               net::SkeenFinalKey{id, f->second.ts, f->second.site});
     return;
   }
   auto it = st.pending.find(id);
@@ -239,19 +240,17 @@ void SkeenMulticast::on_retry_request(SiteId at, std::uint64_t id,
     // Step 1 never reached us (lost in our crash window). Nobody can have
     // finalized without our proposal, so proposing fresh off the current
     // clock is safe — and on_step1 broadcasts it to every destination.
-    on_step1(at, msg);
+    on_step1(at, m.msg);
     return;
   }
   const Pending& p = it->second;
   if (!p.proposed) return;  // not a proposer; nothing useful to answer
   const TsKey prop = p.my_prop;  // verbatim re-send, never a new value
-  if (at == requester) {
+  if (at == from) {
     on_proposal(at, id, prop);
     return;
   }
-  net_.send(at, requester, net::wire::control() + 16,
-            [this, requester, id, prop] { on_proposal(requester, id, prop); },
-            obs::MsgClass::kOrdering);
+  port_.send(at, from, net::SkeenProposal{id, prop.ts, prop.site});
 }
 
 void SkeenMulticast::on_final_key(SiteId at, std::uint64_t id, TsKey key) {
@@ -270,7 +269,7 @@ void SkeenMulticast::on_final_key(SiteId at, std::uint64_t id, TsKey key) {
 
 void SkeenMulticast::remember_final(SiteState& st, std::uint64_t id,
                                     TsKey key) {
-  if (net_.fault_injector() == nullptr) return;  // recovery disabled
+  if (!port_.recovery_enabled()) return;  // recovery disabled
   if (st.recent_final.emplace(id, key).second) {
     st.recent_fifo.push_back(id);
     if (st.recent_fifo.size() > kRecentFinalCap) {

@@ -22,36 +22,40 @@
 // must recover it" — see Transport::send). A lost proposal would wedge the
 // ordering layer permanently: delivery at a site blocks behind its
 // smallest-keyed pending message, so one unfinalizable entry stalls every
-// message after it. Under a fault plan each destination therefore arms a
-// retry timer per pending message; if the message has not finalized when it
-// fires, the site re-requests the missing proposals from their proposers. A
-// proposer answers with its original proposal (re-sent verbatim so
-// destinations can never observe two different proposals from one site), or
-// with the final timestamp if it has already delivered the message, or — if
-// it lost the step-1 message itself to a crash — by processing the copy
-// carried in the request and proposing fresh, which is safe precisely
-// because nobody can have finalized without it.
+// message after it. When the port can lose messages, each destination
+// therefore arms a retry timer per pending message; if the message has not
+// finalized when it fires, the site re-requests the missing proposals from
+// their proposers. A proposer answers with its original proposal (re-sent
+// verbatim so destinations can never observe two different proposals from
+// one site), or with the final timestamp if it has already delivered the
+// message, or — if it lost the step-1 message itself to a crash — by
+// processing the copy carried in the request and proposing fresh, which is
+// safe precisely because nobody can have finalized without it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "comm/mcast_msg.h"
-#include "net/transport.h"
-#include "net/wire.h"
+#include "comm/port.h"
 
 namespace gdur::comm {
 
 class SkeenMulticast {
  public:
-  SkeenMulticast(net::Transport& transport, DeliverFn deliver,
+  SkeenMulticast(Port& port, int sites, DeliverFn deliver,
                  bool fault_tolerant = false);
 
   /// Multicasts `msg` to msg.dests (sorted, unique, non-empty).
-  void multicast(const McastMsg& msg);
+  void multicast(net::McastMsg msg);
+
+  void on(SiteId from, SiteId at, const net::SkeenStep1& m);
+  void on(SiteId from, SiteId at, const net::SkeenProposal& m);
+  /// A destination (`from`) re-requests this site's proposal.
+  void on(SiteId from, SiteId at, const net::SkeenRetry& m);
+  void on(SiteId from, SiteId at, const net::SkeenFinalKey& m);
+  void on(SiteId from, SiteId at, const net::SkeenWitness& m);
 
  private:
   /// (timestamp, site) pairs; proposals from one site are strictly
@@ -63,7 +67,7 @@ class SkeenMulticast {
   };
 
   struct Pending {
-    McastMsg msg;
+    net::McastPtr msg;
     TsKey bound{};              // lower bound on the final key: this site's
                                 // own proposal, or the best proposal heard
     TsKey final_key{};          // max proposal once finalized
@@ -92,30 +96,26 @@ class SkeenMulticast {
     std::deque<std::uint64_t> recent_fifo;
   };
 
-  void on_step1(SiteId at, const McastMsg& msg);
+  void on_step1(SiteId at, const net::McastPtr& msg);
   void send_proposal(SiteId at, std::uint64_t id, TsKey prop,
                      const std::vector<SiteId>& dests);
   void on_proposal(SiteId at, std::uint64_t id, TsKey prop);
   void finalize(SiteId at, Pending& p);
   void try_deliver(SiteId at);
 
-  // --- crash recovery (active only under a fault plan) ---
+  // --- crash recovery (active only when the port can lose messages) ---
   /// Re-checks `id` at `at` after a delay; re-requests missing proposals.
   void arm_recovery(SiteId at, std::uint64_t id);
-  /// A destination asks `at` for its proposal on `id`; `msg` is the
-  /// requester's copy of the multicast in case `at` never received step 1.
-  void on_retry_request(SiteId at, std::uint64_t id, const McastMsg& msg,
-                        SiteId requester);
   /// A proposer that already delivered `id` tells `at` its final timestamp.
   void on_final_key(SiteId at, std::uint64_t id, TsKey key);
   void remember_final(SiteState& st, std::uint64_t id, TsKey key);
 
   /// The witness used for FT logging: the next site, cyclically.
   [[nodiscard]] SiteId witness(SiteId s) const {
-    return static_cast<SiteId>((s + 1) % static_cast<SiteId>(net_.sites()));
+    return static_cast<SiteId>((s + 1) % static_cast<SiteId>(states_.size()));
   }
 
-  net::Transport& net_;
+  Port& port_;
   DeliverFn deliver_;
   bool ft_;
   std::vector<SiteState> states_;

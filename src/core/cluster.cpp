@@ -13,6 +13,11 @@ namespace {
 std::uint64_t mcast_id_of(const TxnId& id) {
   return (static_cast<std::uint64_t>(id.coord) << 44) ^ id.seq;
 }
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
@@ -54,18 +59,14 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
   for (SiteId s = 0; s < static_cast<SiteId>(cfg.sites); ++s)
     replicas_.push_back(std::make_unique<Replica>(*this, s));
 
-  const auto deliver_term = [this](SiteId at, const comm::McastMsg& m) {
-    replicas_[at]->on_term_delivered(
-        std::static_pointer_cast<const TxnRecord>(m.payload));
+  const auto deliver_term = [this](SiteId at, const net::McastMsg& m) {
+    replicas_[at]->on_term_delivered(m.txn);
   };
-  ab_ = std::make_unique<comm::AtomicBroadcast>(*net_, deliver_term);
-  skeen_ = std::make_unique<comm::SkeenMulticast>(*net_, deliver_term,
-                                                  spec_.ft_multicast);
-  rm_term_ = std::make_unique<comm::ReliableMulticast>(*net_, deliver_term);
-  rm_bg_ = std::make_unique<comm::ReliableMulticast>(
-      *net_, [this](SiteId at, const comm::McastMsg& m) {
-        oracle_->on_propagate(at, m.as<versioning::Stamp>());
-      });
+  ab_ = std::make_unique<comm::AtomicBroadcast>(*this, cfg.sites, deliver_term);
+  skeen_ = std::make_unique<comm::SkeenMulticast>(
+      *this, cfg.sites, deliver_term, spec_.ft_multicast);
+  rm_ = std::make_unique<comm::ReliableMulticast>(*this, deliver_term);
+  reads_.resize(static_cast<std::size_t>(cfg.sites));
 
   if (cfg.durable) {
     wals_.reserve(static_cast<std::size_t>(cfg.sites));
@@ -263,31 +264,85 @@ bool Cluster::site_down(SiteId s) const {
 void Cluster::remote_read(SiteId from, SiteId target, const MutTxnPtr& t,
                           ObjectId x, std::function<void(bool)> cb) {
   // Line 13 of Algorithm 1: the request carries the snapshot; the reply
-  // carries the chosen version, applied to the record at the coordinator.
-  const std::uint64_t req = net::wire::read_request() + meta_bytes();
+  // carries the chosen version, applied to the record here on arrival.
+  ReadTable& rt = reads_[from];
+  const std::uint64_t req = ++rt.next;
+  rt.open.emplace(req, PendingRead{t, x, std::move(cb)});
+  send(from, target, net::ReadRequestMsg{t, x, req});
+}
+
+// ---------------------------------------------------------------------------
+// Message path: send -> ship (the backend) -> receive.
+// ---------------------------------------------------------------------------
+
+void Cluster::send(SiteId from, SiteId to, net::Msg m) {
+  if (vote_observer_) {
+    // A vote leaves its voter: a GC / 2PC vote, or a Paxos 2a proposal.
+    if (const auto* v = std::get_if<net::VoteMsg>(&m))
+      vote_observer_(
+          VoteEvent{.voter = from, .to = to, .txn = v->txn->id, .vote = v->vote});
+    else if (const auto* p = std::get_if<net::Paxos2aMsg>(&m))
+      vote_observer_(
+          VoteEvent{.voter = from, .to = to, .txn = p->txn->id, .vote = p->vote});
+  }
+  ship(from, to, std::move(m));
+}
+
+void Cluster::ship(SiteId from, SiteId to, net::Msg m) {
+  const std::uint64_t bytes = net::wire_size(m, meta_bytes());
+  const obs::MsgClass cls = net::msg_class(m);
   net_->send(
-      from, target, req,
-      [this, from, target, t, x, cb = std::move(cb)] {
-        replicas_[target]->serve_remote_read(
-            from, t, x,
-            [this, from, target, t, x, cb](bool ok,
-                                           std::optional<store::Version> v) {
-              const std::uint64_t reply = net::wire::read_reply(meta_bytes());
-              net_->send(
-                  target, from, reply,
-                  [this, from, t, x, ok, v = std::move(v), cb] {
-                    if (!ok) {
-                      cb(false);
-                      return;
-                    }
-                    replicas_[from]->record_read(t, x,
-                                                 v.has_value() ? &*v : nullptr);
-                    cb(true);
-                  },
-                  obs::MsgClass::kReadReply);
-            });
-      },
-      obs::MsgClass::kRemoteRead);
+      from, to, bytes,
+      [this, from, to, m = std::move(m)] { receive(from, to, m); }, cls);
+}
+
+void Cluster::receive(SiteId from, SiteId to, const net::Msg& m) {
+  Replica& r = *replicas_[to];
+  std::visit(
+      Overloaded{
+          [&](const net::VoteMsg& x) { r.on_vote(x.txn, from, x.vote); },
+          [&](const net::DecisionMsg& x) { r.on_decision(x.txn, x.commit); },
+          [&](const net::Paxos2aMsg& x) {
+            r.on_paxos_2a(x.txn, from, x.vote);
+          },
+          [&](const net::Paxos2bMsg& x) {
+            r.on_paxos_2b(x.txn, x.participant, x.vote, from);
+          },
+          [&](const net::ReadRequestMsg& x) {
+            r.serve_remote_read(
+                from, x.txn, x.obj,
+                [this, from, to, req = x.req](bool ok,
+                                              std::optional<store::Version> v) {
+                  std::shared_ptr<const store::Version> version;
+                  if (v)
+                    version =
+                        std::make_shared<const store::Version>(*std::move(v));
+                  send(to, from, net::ReadReplyMsg{req, ok, std::move(version)});
+                });
+          },
+          [&](const net::ReadReplyMsg& x) {
+            auto& open = reads_[to].open;
+            auto it = open.find(x.req);
+            if (it == open.end()) return;
+            PendingRead pr = std::move(it->second);
+            open.erase(it);
+            if (x.ok) r.record_read(pr.t, pr.obj, x.version.get());
+            pr.cb(x.ok);
+          },
+          [&](const net::PropagateMsg& x) {
+            oracle_->on_propagate(to, *x.stamp);
+          },
+          // Group-communication traffic goes to the primitive that owns it.
+          [&](const auto& x) {
+            using M = std::decay_t<decltype(x)>;
+            if constexpr (comm::Handles<comm::SkeenMulticast, M>)
+              skeen_->on(from, to, x);
+            else if constexpr (comm::Handles<comm::AtomicBroadcast, M>)
+              ab_->on(from, to, x);
+            else
+              rm_->on(from, to, x);
+          }},
+      m);
 }
 
 std::uint64_t Cluster::meta_bytes() const {
@@ -303,49 +358,58 @@ std::uint64_t Cluster::term_bytes(const TxnRecord& t) const {
 // ---------------------------------------------------------------------------
 
 void Cluster::begin(SiteId coord, std::function<void(MutTxnPtr)> cb) {
-  net_->client_send(coord, net::wire::control(), [this, coord,
-                                                  cb = std::move(cb)] {
+  client_request(coord, net::wire::control(), [this, coord,
+                                                cb = std::move(cb)] {
     replicas_[coord]->exec_begin([this, coord, cb](MutTxnPtr t) {
-      net_->send_to_client(coord, net::wire::control(),
-                           [cb, t = std::move(t)] { cb(t); });
+      client_reply(coord, net::wire::control(),
+                   [cb, t = std::move(t)] { cb(t); });
     });
   });
 }
 
 void Cluster::read(SiteId coord, const MutTxnPtr& t, ObjectId x,
                    std::function<void(bool)> cb) {
-  net_->client_send(coord, net::wire::control() + net::wire::kKey,
-                    [this, coord, t, x, cb = std::move(cb)] {
-                      replicas_[coord]->exec_read(t, x, [this, coord,
-                                                         cb](bool ok) {
-                        net_->send_to_client(
-                            coord, net::wire::read_reply(0),
-                            [cb, ok] { cb(ok); });
-                      });
-                    });
+  client_request(coord, net::wire::control() + net::wire::kKey,
+                 [this, coord, t, x, cb = std::move(cb)] {
+                   replicas_[coord]->exec_read(t, x, [this, coord,
+                                                      cb](bool ok) {
+                     client_reply(coord, net::wire::read_reply(0),
+                                  [cb, ok] { cb(ok); });
+                   });
+                 });
 }
 
 void Cluster::write(SiteId coord, const MutTxnPtr& t, ObjectId x,
                     std::function<void()> cb) {
-  net_->client_send(
+  client_request(
       coord, net::wire::control() + net::wire::kKey + net::wire::kPayload,
       [this, coord, t, x, cb = std::move(cb)] {
         replicas_[coord]->exec_write(t, x, [this, coord, cb] {
-          net_->send_to_client(coord, net::wire::control(), [cb] { cb(); });
+          client_reply(coord, net::wire::control(), [cb] { cb(); });
         });
       });
 }
 
 void Cluster::commit(SiteId coord, const MutTxnPtr& t,
                      std::function<void(bool)> cb) {
-  net_->client_send(coord, net::wire::control(),
-                    [this, coord, t, cb = std::move(cb)] {
-                      replicas_[coord]->exec_commit(t, [this, coord,
-                                                        cb](bool committed) {
-                        net_->send_to_client(coord, net::wire::decision(),
-                                             [cb, committed] { cb(committed); });
-                      });
-                    });
+  client_request(coord, net::wire::control(),
+                 [this, coord, t, cb = std::move(cb)] {
+                   replicas_[coord]->exec_commit(t, [this, coord,
+                                                     cb](bool committed) {
+                     client_reply(coord, net::wire::decision(),
+                                  [cb, committed] { cb(committed); });
+                   });
+                 });
+}
+
+void Cluster::client_request(SiteId coord, std::uint64_t bytes,
+                             std::function<void()> fn) {
+  net_->client_send(coord, bytes, std::move(fn));
+}
+
+void Cluster::client_reply(SiteId coord, std::uint64_t bytes,
+                           std::function<void()> fn) {
+  net_->send_to_client(coord, bytes, std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
@@ -354,12 +418,12 @@ void Cluster::commit(SiteId coord, const MutTxnPtr& t,
 
 void Cluster::xcast_term(const TxnPtr& t, std::vector<SiteId> dests) {
   assert(!dests.empty());
-  comm::McastMsg msg;
+  net::McastMsg msg;
   msg.id = mcast_id_of(t->id);
   msg.origin = t->id.coord;
   msg.dests = std::move(dests);
   msg.bytes = term_bytes(*t);
-  msg.payload = t;
+  msg.txn = t;
   if (spec_.ac == AcKind::kGroupComm &&
       spec_.xcast != XcastKind::kAtomicBroadcast) {
     // Genuine multicast addresses replica groups: the primary of each
@@ -394,7 +458,7 @@ void Cluster::xcast_term(const TxnPtr& t, std::vector<SiteId> dests) {
 
   if (spec_.ac == AcKind::kTwoPhaseCommit ||
       spec_.ac == AcKind::kPaxosCommit) {
-    rm_term_->multicast(msg);
+    rm_->multicast(std::move(msg));
     return;
   }
   switch (spec_.xcast) {
@@ -403,59 +467,9 @@ void Cluster::xcast_term(const TxnPtr& t, std::vector<SiteId> dests) {
       break;
     case XcastKind::kAtomicMulticast:
     case XcastKind::kPairwiseMulticast:
-      skeen_->multicast(msg);
+      skeen_->multicast(std::move(msg));
       break;
   }
-}
-
-void Cluster::send_vote(SiteId from, SiteId to, const TxnPtr& t, bool vote) {
-  if (vote_observer_)
-    vote_observer_(VoteEvent{.voter = from, .to = to, .txn = t->id,
-                             .vote = vote});
-  net_->send(from, to, net::wire::vote(),
-             [this, to, t, vote, from] { replicas_[to]->on_vote(t, from, vote); },
-             obs::MsgClass::kVote);
-}
-
-void Cluster::send_decision(SiteId from, SiteId to, const TxnPtr& t,
-                            bool commit) {
-  net_->send(from, to, net::wire::decision(),
-             [this, to, t, commit] { replicas_[to]->on_decision(t, commit); },
-             obs::MsgClass::kDecision);
-}
-
-void Cluster::send_paxos_2a(SiteId from, SiteId acceptor, const TxnPtr& t,
-                            SiteId participant, bool vote) {
-  if (vote_observer_)
-    vote_observer_(VoteEvent{.voter = participant, .to = acceptor,
-                             .txn = t->id, .vote = vote});
-  net_->send(from, acceptor, net::wire::vote(),
-             [this, acceptor, t, participant, vote] {
-               replicas_[acceptor]->on_paxos_2a(t, participant, vote);
-             },
-             obs::MsgClass::kPaxos2a);
-}
-
-void Cluster::send_paxos_2b(SiteId from, SiteId to, const TxnPtr& t,
-                            SiteId participant, bool vote, SiteId acceptor) {
-  net_->send(from, to, net::wire::vote(),
-             [this, to, t, participant, vote, acceptor] {
-               replicas_[to]->on_paxos_2b(t, participant, vote, acceptor);
-             },
-             obs::MsgClass::kPaxos2b);
-}
-
-void Cluster::propagate_stamp(SiteId from, const TxnRecord& t,
-                              const std::vector<SiteId>& dests) {
-  if (dests.empty()) return;
-  comm::McastMsg msg;
-  msg.id = (0x8000'0000'0000'0000ULL | ++mcast_ids_);
-  msg.origin = from;
-  msg.dests = dests;
-  msg.bytes = net::wire::control() + 16;
-  msg.cls = obs::MsgClass::kPropagation;
-  msg.payload = std::make_shared<versioning::Stamp>(t.stamp);
-  rm_bg_->multicast(msg);
 }
 
 SiteId Cluster::nearest_replica(SiteId from, ObjectId x) const {

@@ -9,16 +9,19 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/analysis_annotations.h"
 #include "comm/atomic_broadcast.h"
+#include "comm/port.h"
 #include "comm/reliable_multicast.h"
 #include "comm/skeen_multicast.h"
 #include "core/membership.h"
 #include "core/protocol_spec.h"
 #include "core/replica.h"
 #include "core/transaction.h"
+#include "net/msg.h"
 #include "net/transport.h"
 #include "obs/plane.h"
 #include "obs/trace.h"
@@ -96,7 +99,7 @@ struct ClusterConfig {
   ReconfigPlan reconfig{};
 };
 
-class Cluster {
+class Cluster : public comm::Port {
  public:
   Cluster(const ClusterConfig& cfg, ProtocolSpec spec);
   virtual ~Cluster() = default;
@@ -106,27 +109,26 @@ class Cluster {
   // ------------------------------------------------------------------
   // Client API (each call is one client->replica->client round trip).
   // ------------------------------------------------------------------
-  virtual void begin(SiteId coord, std::function<void(MutTxnPtr)> cb);
-  virtual void read(SiteId coord, const MutTxnPtr& t, ObjectId x,
-                    std::function<void(bool)> cb);
-  virtual void write(SiteId coord, const MutTxnPtr& t, ObjectId x,
-                     std::function<void()> cb);
-  virtual void commit(SiteId coord, const MutTxnPtr& t,
-                      std::function<void(bool)> cb);
+  void begin(SiteId coord, std::function<void(MutTxnPtr)> cb);
+  void read(SiteId coord, const MutTxnPtr& t, ObjectId x,
+            std::function<void(bool)> cb);
+  void write(SiteId coord, const MutTxnPtr& t, ObjectId x,
+             std::function<void()> cb);
+  void commit(SiteId coord, const MutTxnPtr& t, std::function<void(bool)> cb);
 
   // ------------------------------------------------------------------
-  // Transport/scheduler seam. Replica and the client flow talk to the
-  // deployment exclusively through these virtuals, so one protocol engine
-  // runs unchanged on the deterministic simulator (this class) and on real
-  // sockets and threads (live::LiveCluster). The contract either backend
-  // must honor: exactly-once delivery, FIFO per (src,dst) link, and all
-  // handlers of one site running single-threaded.
+  // Scheduler seam. Replica and the client flow talk to the deployment
+  // exclusively through these virtuals and the message path below, so one
+  // protocol engine runs unchanged on the deterministic simulator (this
+  // class) and on real sockets and threads (live::LiveCluster). The
+  // contract either backend must honor: exactly-once delivery, FIFO per
+  // (src,dst) link, and all handlers of one site running single-threaded.
   // ------------------------------------------------------------------
   /// Current time: virtual simulated time here, wall clock in live mode.
-  [[nodiscard]] virtual SimTime now() const { return sim_.now(); }
+  [[nodiscard]] SimTime now() const override { return sim_.now(); }
   /// Runs `fn` on site `at`'s execution context after `delay`.
-  virtual void run_after(SiteId at, SimDuration delay,
-                         std::function<void()> fn);
+  void run_after(SiteId at, SimDuration delay,
+                 std::function<void()> fn) override;
   /// Runs `fn` on site `at` after charging `service` CPU time (live mode
   /// spends real CPU instead and ignores the analytic charge).
   virtual void run_local(SiteId at, SimDuration service,
@@ -153,12 +155,25 @@ class Cluster {
                                     const std::function<void()>& fn);
   /// Is site `s` currently crashed? (Always false in live mode: the live
   /// runtime is fault-free.)
-  [[nodiscard]] virtual bool site_down(SiteId s) const;
+  [[nodiscard]] bool site_down(SiteId s) const override;
+  /// True when a fault plan drives this run: messages can be lost.
+  [[nodiscard]] bool recovery_enabled() const override {
+    return fault_ != nullptr;
+  }
+
+  // ------------------------------------------------------------------
+  // Message path (net/msg.h). Every inter-site message leaves through
+  // send() and arrives through receive() (below) on both backends; only the
+  // ship() hook between them differs.
+  // ------------------------------------------------------------------
+  /// Sends `m` from site `from` to site `to`.
+  void send(SiteId from, SiteId to, net::Msg m) final;
+
   /// Remote read (Algorithm 1 lines 13, 26-30): ships `t`'s snapshot to
   /// `target`, serves the read there, applies the chosen version at
   /// `from` via Replica::record_read, then runs `cb`.
-  virtual void remote_read(SiteId from, SiteId target, const MutTxnPtr& t,
-                           ObjectId x, std::function<void(bool)> cb);
+  void remote_read(SiteId from, SiteId target, const MutTxnPtr& t, ObjectId x,
+                   std::function<void(bool)> cb);
 
   // ------------------------------------------------------------------
   // Wiring used by Replica and by protocol plug-ins.
@@ -196,8 +211,8 @@ class Cluster {
   /// behind this flag, keeping fixed-membership runs byte-identical.
   [[nodiscard]] bool reconfig_enabled() const { return reconfig_enabled_; }
   /// Reconfiguration-protocol message (prepare/ack/activate/state transfer).
-  /// Virtual for the same reason as the other sends: the live backend ships
-  /// it as real bytes.
+  /// ReconfigMsg has no codec, so it keeps its own path: the live backend
+  /// delivers it in-process.
   virtual void send_reconfig(SiteId from, SiteId to, ReconfigMsg m);
 
   /// Certification leader of partition `p` for transactions of epoch `e`.
@@ -237,7 +252,7 @@ class Cluster {
   /// Attached trace recorder, or nullptr. Hooks must guard on this.
   [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
   /// Attached observability plane, or nullptr. Hooks must guard on this.
-  [[nodiscard]] obs::ObsPlane* plane() const { return plane_; }
+  [[nodiscard]] obs::ObsPlane* plane() const override { return plane_; }
   [[nodiscard]] SimDuration term_timeout() const { return term_timeout_; }
   [[nodiscard]] SimDuration client_timeout() const { return client_timeout_; }
   [[nodiscard]] SimDuration vote_retry() const { return vote_retry_; }
@@ -248,23 +263,8 @@ class Cluster {
 
   /// Propagates `t` to replicas(certifying_obj(t)) with the spec's xcast
   /// (Algorithm 2 line 15). `dests` must be the sorted destination sites.
-  virtual void xcast_term(const TxnPtr& t, std::vector<SiteId> dests);
+  void xcast_term(const TxnPtr& t, std::vector<SiteId> dests);
 
-  virtual void send_vote(SiteId from, SiteId to, const TxnPtr& t, bool vote);
-  virtual void send_decision(SiteId from, SiteId to, const TxnPtr& t,
-                             bool commit);
-
-  /// Paxos Commit messaging (AC = paxos): a participant's vote travels to
-  /// every acceptor (2a), acceptances travel to the coordinator (2b).
-  virtual void send_paxos_2a(SiteId from, SiteId acceptor, const TxnPtr& t,
-                             SiteId participant, bool vote);
-  virtual void send_paxos_2b(SiteId from, SiteId to, const TxnPtr& t,
-                             SiteId participant, bool vote, SiteId acceptor);
-
-  /// Background propagation of a commit's version number (Walter / S-DUR
-  /// post_commit): `dests` learn t.stamp via oracle().on_propagate.
-  virtual void propagate_stamp(SiteId from, const TxnRecord& t,
-                               const std::vector<SiteId>& dests);
 
   /// Replica of `x` closest to `from` (for remote reads).
   [[nodiscard]] SiteId nearest_replica(SiteId from, ObjectId x) const;
@@ -303,6 +303,20 @@ class Cluster {
   }
 
  protected:
+  /// Backend hook behind send(): the simulator carries `m` in a Transport
+  /// closure charged its analytic wire size; live mode encodes it.
+  virtual void ship(SiteId from, SiteId to, net::Msg m);
+  /// Runs the handler of `m` at site `to`: the one receive dispatcher,
+  /// called by both backends.
+  void receive(SiteId from, SiteId to, const net::Msg& m);
+  /// Scheduler seam, client side: a request of `bytes` from the client
+  /// co-located with `coord` reaches the coordinator, where `fn` runs...
+  virtual void client_request(SiteId coord, std::uint64_t bytes,
+                              std::function<void()> fn);
+  /// ...and a reply of `bytes` travels back to that client, where `fn` runs.
+  virtual void client_reply(SiteId coord, std::uint64_t bytes,
+                            std::function<void()> fn);
+
   [[nodiscard]] std::uint64_t term_bytes(const TxnRecord& t) const;
   /// Drives one scheduled membership change: picks a live coordinator and
   /// retries until the change shows up in the latest agreed view (or the
@@ -334,9 +348,20 @@ class Cluster {
 
   std::unique_ptr<comm::AtomicBroadcast> ab_;
   std::unique_ptr<comm::SkeenMulticast> skeen_;
-  std::unique_ptr<comm::ReliableMulticast> rm_term_;
-  std::unique_ptr<comm::ReliableMulticast> rm_bg_;
-  std::uint64_t mcast_ids_ = 0;
+  std::unique_ptr<comm::ReliableMulticast> rm_;
+  /// A remote read awaiting its reply at the requesting site.
+  struct PendingRead {
+    MutTxnPtr t;
+    ObjectId obj = 0;
+    std::function<void(bool)> cb;
+  };
+  /// Per-site open remote reads by request id; each table is touched only
+  /// on its site's execution context.
+  struct ReadTable {
+    std::unordered_map<std::uint64_t, PendingRead> open;
+    std::uint64_t next = 0;
+  };
+  std::vector<ReadTable> reads_;
   std::vector<std::unique_ptr<store::WriteAheadLog>> wals_;
   MembershipLog members_;
   bool reconfig_enabled_ = false;

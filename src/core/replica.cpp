@@ -140,7 +140,7 @@ void Replica::record_read(const MutTxnPtr& t, ObjectId x,
   cl_.oracle().note_read(v, p, t->snap);
 }
 
-void Replica::serve_remote_read(SiteId requester, const MutTxnPtr& t,
+void Replica::serve_remote_read(SiteId requester, const TxnPtr& t,
                                 ObjectId x, ReadReplyFn reply) {
   const auto& cost = cl_.cost();
   const SimDuration snap_cost = cl_.spec().choose == ChooseKind::kCons
@@ -152,7 +152,7 @@ void Replica::serve_remote_read(SiteId requester, const MutTxnPtr& t,
                 });
 }
 
-void Replica::remote_read_attempt(SiteId requester, const MutTxnPtr& t,
+void Replica::remote_read_attempt(SiteId requester, const TxnPtr& t,
                                   ObjectId x, int attempt, ReadReplyFn reply) {
   // Lines 26-30: choose a version against the requester's snapshot and
   // reply. The transaction record is updated at the coordinator, on reply
@@ -481,7 +481,7 @@ void Replica::send_vote_msgs(const TxnPtr& t, bool v) {
   if (oslot_ != nullptr) oslot_->record(obs::Counter::kVotesSent);
   const auto& spec = cl_.spec();
   if (spec.ac == AcKind::kTwoPhaseCommit) {
-    cl_.send_vote(id_, t->id.coord, t, v);
+    cl_.send(id_, t->id.coord, net::VoteMsg{t, v});
     return;
   }
   if (spec.ac == AcKind::kPaxosCommit) {
@@ -491,11 +491,11 @@ void Replica::send_vote_msgs(const TxnPtr& t, bool v) {
     // transaction's epoch.
     if (cl_.reconfig_enabled()) {
       for (SiteId a : cl_.view(t->epoch).members)
-        cl_.send_paxos_2a(id_, a, t, id_, v);
+        cl_.send(id_, a, net::Paxos2aMsg{t, v});
     } else {
       // gdur-lint: allow(membership/hardcoded-sites) fixed-membership branch; the reconfig path above iterates the view
       for (SiteId a = 0; a < static_cast<SiteId>(cl_.sites()); ++a)
-        cl_.send_paxos_2a(id_, a, t, id_, v);
+        cl_.send(id_, a, net::Paxos2aMsg{t, v});
     }
     return;
   }
@@ -507,7 +507,7 @@ void Replica::send_vote_msgs(const TxnPtr& t, bool v) {
     dests = cl_.view(t->epoch).filter(std::move(dests));
   if (std::find(dests.begin(), dests.end(), t->id.coord) == dests.end())
     dests.push_back(t->id.coord);
-  for (SiteId d : dests) cl_.send_vote(id_, d, t, v);
+  for (SiteId d : dests) cl_.send(id_, d, net::VoteMsg{t, v});
 }
 
 void Replica::announce_vote(const TxnPtr& t, bool v) {
@@ -612,7 +612,7 @@ void Replica::send_2pc_decisions(const TxnPtr& t, bool commit) {
       dests = cl_.view(t->epoch).filter(std::move(dests));
   }
   for (SiteId d : dests)
-    if (d != id_) cl_.send_decision(id_, d, t, commit);
+    if (d != id_) cl_.send(id_, d, net::DecisionMsg{t, commit});
 }
 
 void Replica::on_vote(const TxnPtr& t, SiteId voter, bool vote) {
@@ -634,7 +634,7 @@ void Replica::on_vote(const TxnPtr& t, SiteId voter, bool vote) {
     // A re-announced vote reached a site that already decided: answer with
     // the decision so the in-doubt voter can terminate.
     if (cl_.fault_tolerance_on() && voter != id_)
-      cl_.send_decision(id_, voter, t, out->committed);
+      cl_.send(id_, voter, net::DecisionMsg{t, out->committed});
     return;
   }
   auto& st = state_of(t);
@@ -795,7 +795,7 @@ void Replica::on_paxos_2a(const TxnPtr& t, SiteId participant, bool vote) {
   // re-proposed 2a (protocol retry after loss) is re-acked with the value
   // accepted first — idempotent at the learner, and without it a retried
   // instance could never close.
-  cl_.send_paxos_2b(id_, t->id.coord, t, participant, slot->second, id_);
+  cl_.send(id_, t->id.coord, net::Paxos2bMsg{t, participant, slot->second});
 }
 
 void Replica::on_paxos_2b(const TxnPtr& t, SiteId participant, bool vote,
@@ -812,7 +812,7 @@ void Replica::on_paxos_2b(const TxnPtr& t, SiteId participant, bool vote,
     // A re-acked instance of an already-decided transaction: tell the
     // still-in-doubt participant the outcome.
     if (cl_.fault_tolerance_on() && participant != id_)
-      cl_.send_decision(id_, participant, t, out->committed);
+      cl_.send(id_, participant, net::DecisionMsg{t, out->committed});
     return;
   }
   auto& st = state_of(t);

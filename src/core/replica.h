@@ -82,7 +82,7 @@ class Replica {
       std::function<void(bool ok, std::optional<store::Version> v)>;
 
   /// Remote read service (lines 26-30 of Algorithm 1).
-  void serve_remote_read(SiteId requester, const MutTxnPtr& t, ObjectId x,
+  void serve_remote_read(SiteId requester, const TxnPtr& t, ObjectId x,
                          ReadReplyFn reply);
 
   /// Applies a chosen version to the transaction record at its coordinator.
@@ -260,7 +260,7 @@ class Replica {
   // --- execution helpers ---
   void local_read_attempt(const MutTxnPtr& t, ObjectId x, int attempt,
                           std::function<void(bool)> cb);
-  void remote_read_attempt(SiteId requester, const MutTxnPtr& t, ObjectId x,
+  void remote_read_attempt(SiteId requester, const TxnPtr& t, ObjectId x,
                            int attempt, ReadReplyFn reply);
 
   // --- termination helpers ---

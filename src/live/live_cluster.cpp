@@ -1,17 +1,18 @@
 #include "live/live_cluster.h"
 
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/logging.h"
 #include "common/thread_annotations.h"
-#include "net/wire.h"
+#include "net/codec.h"
 #include "obs/trace.h"
 
 namespace gdur::live {
 
 namespace codec = net::codec;
 using core::TxnPtr;
-using core::TxnRecord;
 
 namespace {
 
@@ -101,41 +102,38 @@ core::ClusterConfig live_base(core::ClusterConfig cfg) {
   return cfg;
 }
 
-obs::MsgClass class_of(codec::MsgType t) {
-  switch (t) {
-    case codec::MsgType::kTermDeliver:
-      return obs::MsgClass::kTermination;
-    case codec::MsgType::kTermSubmit:
-      return obs::MsgClass::kOrdering;
-    case codec::MsgType::kVote:
-      return obs::MsgClass::kVote;
-    case codec::MsgType::kDecision:
-      return obs::MsgClass::kDecision;
-    case codec::MsgType::kPaxos2a:
-      return obs::MsgClass::kPaxos2a;
-    case codec::MsgType::kPaxos2b:
-      return obs::MsgClass::kPaxos2b;
-    case codec::MsgType::kReadRequest:
-      return obs::MsgClass::kRemoteRead;
-    case codec::MsgType::kReadReply:
-      return obs::MsgClass::kReadReply;
-    case codec::MsgType::kPropagate:
-      return obs::MsgClass::kPropagation;
-    case codec::MsgType::kControl:
-    // Batch containers trace as control; their inner frames re-enter
-    // dispatch and trace under their own class. Client frames never cross
-    // inter-site links (the front server owns them).
-    case codec::MsgType::kBatch:
-    case codec::MsgType::kClientHello:
-    case codec::MsgType::kClientWelcome:
-    case codec::MsgType::kClientReq:
-    case codec::MsgType::kClientResp:
-    case codec::MsgType::kPushback:
-      return obs::MsgClass::kControl;
-  }
-  return obs::MsgClass::kControl;
+/// The transaction record `m` carries in full (multicast steps and
+/// deliveries), or nullptr.
+const TxnPtr* full_record(const net::Msg& m) {
+  return std::visit(
+      [](const auto& x) -> const TxnPtr* {
+        if constexpr (requires { x.msg->txn; })
+          return &x.msg->txn;
+        else
+          return nullptr;
+      },
+      m);
 }
 
+/// The transaction of a message the codec ships as an id only (votes,
+/// decisions, Paxos rounds), or nullptr.
+TxnPtr* id_ref(net::Msg& m) {
+  return std::visit(
+      [](auto& x) -> TxnPtr* {
+        using M = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<M, net::VoteMsg> ||
+                      std::is_same_v<M, net::DecisionMsg> ||
+                      std::is_same_v<M, net::Paxos2aMsg> ||
+                      std::is_same_v<M, net::Paxos2bMsg>)
+          return &x.txn;
+        else
+          return nullptr;
+      },
+      m);
+}
+
+/// With coalescing on, a frame at most this long rides in a batch.
+constexpr std::size_t kSmallFrame = 128;
 /// Batch flush thresholds: a batch ships early once it carries this many
 /// messages or payload bytes, whichever first; otherwise it rides until
 /// the site's mailbox runs dry.
@@ -153,7 +151,7 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
   self_ = cfg.self;
 
   const int n = sites();
-  dispatch_state_.resize(n);
+  rx_state_.resize(n);
   batchers_.resize(n);
   for (auto& b : batchers_) {
     b.per_dst.resize(std::size_t(n));
@@ -179,9 +177,7 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
   }
 
   auto deliver = [this](SiteId src, SiteId dst, std::vector<std::uint8_t> f) {
-    post(dst, [this, src, dst, f = std::move(f)]() mutable {
-      dispatch(src, dst, std::move(f));
-    });
+    post(dst, [this, src, dst, f = std::move(f)] { on_frame(src, dst, f); });
   };
   if (!cfg.peers.empty()) {
     // Multi-process mesh: real sockets to peer processes, one per site.
@@ -430,58 +426,19 @@ void LiveCluster::with_apply_exclusion(SiteId at,
   unlock_shards(at, all);
 }
 
-// --- client API --------------------------------------------------------------
+// --- client seam -------------------------------------------------------------
 
-void LiveCluster::begin(SiteId coord, std::function<void(core::MutTxnPtr)> cb) {
-  post(coord, [this, coord, cb = std::move(cb)]() mutable {
-    replicas_[coord]->exec_begin(std::move(cb));
-  });
+void LiveCluster::client_request(SiteId coord, std::uint64_t /*bytes*/,
+                                 std::function<void()> fn) {
+  post(coord, std::move(fn));
 }
 
-void LiveCluster::read(SiteId coord, const core::MutTxnPtr& t, ObjectId x,
-                       std::function<void(bool)> cb) {
-  post(coord, [this, coord, t, x, cb = std::move(cb)]() mutable {
-    replicas_[coord]->exec_read(t, x, std::move(cb));
-  });
-}
-
-void LiveCluster::write(SiteId coord, const core::MutTxnPtr& t, ObjectId x,
-                        std::function<void()> cb) {
-  post(coord, [this, coord, t, x, cb = std::move(cb)]() mutable {
-    replicas_[coord]->exec_write(t, x, std::move(cb));
-  });
-}
-
-void LiveCluster::commit(SiteId coord, const core::MutTxnPtr& t,
-                         std::function<void(bool)> cb) {
-  post(coord, [this, coord, t, cb = std::move(cb)]() mutable {
-    replicas_[coord]->exec_commit(t, std::move(cb));
-  });
+void LiveCluster::client_reply(SiteId /*coord*/, std::uint64_t /*bytes*/,
+                               std::function<void()> fn) {
+  fn();
 }
 
 // --- wire plumbing -----------------------------------------------------------
-
-void LiveCluster::send_frame(SiteId from, SiteId to,
-                             const codec::Writer& w) {
-  // FIFO contract: anything coalesced toward `to` was logically sent before
-  // this frame, so it must hit the socket first.
-  if (coalesce_) flush_batch(from, to);
-  transport_live_->send(from, to, w.data());
-}
-
-void LiveCluster::send_small(SiteId from, SiteId to, const codec::Writer& w) {
-  if (!coalesce_) {
-    send_frame(from, to, w);
-    return;
-  }
-  // Site-thread only (all protocol sends run inside mailbox tasks of
-  // `from`), so the batcher needs no lock.
-  auto& b = batchers_[from];
-  b.per_dst[to].push_back(w.data());
-  b.bytes[to] += w.data().size();
-  if (b.per_dst[to].size() >= kBatchMaxMsgs || b.bytes[to] >= kBatchMaxBytes)
-    flush_batch(from, to);
-}
 
 void LiveCluster::flush_batch(SiteId from, SiteId to) {
   auto& b = batchers_[from];
@@ -508,132 +465,40 @@ void LiveCluster::flush_batches(SiteId from) {
     flush_batch(from, d);
 }
 
-void LiveCluster::remote_read(SiteId from, SiteId target,
-                              const core::MutTxnPtr& t, ObjectId x,
-                              std::function<void(bool)> cb) {
-  // Runs on `from`'s mailbox thread (called from exec_read).
-  auto& st = dispatch_state_[from];
-  const std::uint64_t req = ++st.read_seq;
-  st.reads.emplace(req, PendingRead{t, x, std::move(cb)});
+void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
+  // Runs on `from`'s mailbox thread. A site knows every record it sends in
+  // full, so answers naming the transaction by id resolve here too (a
+  // coordinator need not be a destination of its own transaction).
+  if (const TxnPtr* t = full_record(m)) remember(from, *t);
   codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kReadRequest));
-  codec::encode_read_request(w, {req, from, x, t->snap});
-  send_frame(from, target, w);
-}
-
-void LiveCluster::xcast_term(const TxnPtr& t, std::vector<SiteId> dests) {
-  // Runs on the coordinator's mailbox thread.
-  const SiteId origin = t->id.coord;
-  register_txn(origin, t);
-  if (spec_.ac == core::AcKind::kGroupComm) {
-    // Every GC xcast flavor is realized as sequencer-relayed delivery: a
-    // total order over FIFO links, strictly stronger than AB, AM or
-    // pairwise ordering require.
-    if (origin == kSequencer) {
-      relay_term(t, dests);
-    } else {
-      codec::Writer w;
-      w.u8(static_cast<std::uint8_t>(codec::MsgType::kTermSubmit));
-      codec::encode_term_submit(w, {std::move(dests), *t}, net::wire::kPayload);
-      send_frame(origin, kSequencer, w);
-    }
-  } else {
-    // 2PC / Paxos Commit order their own decisions; fan out directly.
-    codec::Writer w;
-    w.u8(static_cast<std::uint8_t>(codec::MsgType::kTermDeliver));
-    codec::encode_txn(w, *t, net::wire::kPayload);
-    for (SiteId d : dests) {
-      if (d == origin) {
-        post(d, [this, d, t] { deliver_term(d, t); });
-      } else {
-        send_frame(origin, d, w);
-      }
-    }
+  if (from != to) codec::encode_msg(w, m);
+  if (trace_ != nullptr) {
+    // Traced as sent, self-sends included (the sim counts them too); a
+    // self-send puts no byte on a socket.
+    const SimTime ts = now();
+    trace_->message(net::msg_class(m), from, to,
+                    from == to ? 0 : w.size() + 4, ts, ts);
   }
-}
-
-void LiveCluster::relay_term(const TxnPtr& t,
-                             const std::vector<SiteId>& dests) {
-  // Runs on the sequencer's mailbox thread; execution order here IS the
-  // total delivery order.
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kTermDeliver));
-  codec::encode_txn(w, *t, net::wire::kPayload);
-  for (SiteId d : dests) {
-    if (d == kSequencer) {
-      post(d, [this, d, t] { deliver_term(d, t); });
-    } else {
-      send_frame(kSequencer, d, w);
-    }
-  }
-}
-
-void LiveCluster::send_vote(SiteId from, SiteId to, const TxnPtr& t,
-                            bool vote) {
-  if (vote_observer_) vote_observer_({from, to, t->id, vote});
-  if (to == from) {
-    post(to, [this, to, t, from, vote] { replicas_[to]->on_vote(t, from, vote); });
+  if (from == to) {
+    post(to, [this, from, to, m = std::move(m)] { receive(from, to, m); });
     return;
   }
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kVote));
-  codec::encode_vote(w, {t->id, from, vote});
-  send_small(from, to, w);
-}
-
-void LiveCluster::send_decision(SiteId from, SiteId to, const TxnPtr& t,
-                                bool commit) {
-  if (to == from) {
-    post(to, [this, to, t, commit] { replicas_[to]->on_decision(t, commit); });
+  if (!coalesce_) {
+    transport_live_->send(from, to, w.data());
     return;
   }
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kDecision));
-  codec::encode_decision(w, {t->id, commit});
-  send_small(from, to, w);
-}
-
-void LiveCluster::send_paxos_2a(SiteId from, SiteId acceptor, const TxnPtr& t,
-                                SiteId participant, bool vote) {
-  if (acceptor == from) {
-    post(acceptor, [this, acceptor, t, participant, vote] {
-      replicas_[acceptor]->on_paxos_2a(t, participant, vote);
-    });
+  auto& b = batchers_[from];
+  if (w.size() <= kSmallFrame) {
+    b.per_dst[to].push_back(w.data());
+    b.bytes[to] += w.size();
+    if (b.per_dst[to].size() >= kBatchMaxMsgs || b.bytes[to] >= kBatchMaxBytes)
+      flush_batch(from, to);
     return;
   }
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kPaxos2a));
-  codec::encode_paxos(w, {t->id, participant, vote, acceptor});
-  send_small(from, acceptor, w);
-}
-
-void LiveCluster::send_paxos_2b(SiteId from, SiteId to, const TxnPtr& t,
-                                SiteId participant, bool vote,
-                                SiteId acceptor) {
-  if (to == from) {
-    post(to, [this, to, t, participant, vote, acceptor] {
-      replicas_[to]->on_paxos_2b(t, participant, vote, acceptor);
-    });
-    return;
-  }
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kPaxos2b));
-  codec::encode_paxos(w, {t->id, participant, vote, acceptor});
-  send_small(from, to, w);
-}
-
-void LiveCluster::propagate_stamp(SiteId from, const TxnRecord& t,
-                                  const std::vector<SiteId>& dests) {
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kPropagate));
-  codec::encode_propagate(w, {from, t.stamp});
-  for (SiteId d : dests) {
-    if (d == from) {
-      post(d, [this, d, stamp = t.stamp] { oracle().on_propagate(d, stamp); });
-    } else {
-      send_small(from, d, w);
-    }
-  }
+  // FIFO contract: anything coalesced toward `to` was logically sent before
+  // this frame, so it must hit the socket first.
+  flush_batch(from, to);
+  transport_live_->send(from, to, w.data());
 }
 
 void LiveCluster::send_reconfig(SiteId /*from*/, SiteId to,
@@ -643,180 +508,67 @@ void LiveCluster::send_reconfig(SiteId /*from*/, SiteId to,
   });
 }
 
-// --- inbound dispatch (always on dst's mailbox thread) -----------------------
+// --- inbound (always on dst's mailbox thread) --------------------------------
 
-const TxnPtr& LiveCluster::register_txn(SiteId dst, const TxnPtr& t) {
-  auto& st = dispatch_state_[dst];
-  auto [it, inserted] = st.txns.emplace(t->id, t);
-  if (inserted) {
-    st.txn_fifo.push_back(t->id);
-    if (st.txn_fifo.size() > kTxnCacheCap) {
-      const TxnId old = st.txn_fifo.front();
-      st.txn_fifo.pop_front();
-      st.txns.erase(old);
-      st.pending.erase(old);
+void LiveCluster::on_frame(SiteId src, SiteId dst,
+                           const std::vector<std::uint8_t>& frame) {
+  codec::Reader r(frame);
+  if (!frame.empty() &&
+      frame[0] == static_cast<std::uint8_t>(codec::MsgType::kBatch)) {
+    (void)r.u8();
+    if (auto items = codec::decode_batch(r)) {
+      // Each item is a complete tagged frame; taking them in append order
+      // keeps per-link FIFO across coalescing.
+      for (const auto& inner : *items) on_frame(src, dst, inner);
+      return;
     }
-  }
-  return it->second;
-}
-
-void LiveCluster::deliver_term(SiteId dst, const TxnPtr& t) {
-  // First record seen wins: the coordinator keeps its original pointer when
-  // the sequencer echoes its own submission back.
-  const TxnPtr canon = register_txn(dst, t);
-  replicas_[dst]->on_term_delivered(canon);
-  auto& st = dispatch_state_[dst];
-  auto it = st.pending.find(canon->id);
-  if (it != st.pending.end()) {
-    auto fns = std::move(it->second);
-    st.pending.erase(it);
-    for (auto& fn : fns) fn(canon);
-  }
-}
-
-void LiveCluster::with_txn(SiteId dst, const TxnId& id,
-                           std::function<void(const TxnPtr&)> fn) {
-  auto& st = dispatch_state_[dst];
-  auto it = st.txns.find(id);
-  if (it != st.txns.end()) {
-    const TxnPtr t = it->second;
-    fn(t);
+  } else if (auto m = codec::decode_msg(r)) {
+    arrive(src, dst, std::move(*m));
     return;
   }
-  st.pending[id].push_back(std::move(fn));
+  GDUR_WARN("live: dropping malformed frame type=%u src=%u dst=%u",
+            frame.empty() ? 0U : static_cast<unsigned>(frame[0]),
+            static_cast<unsigned>(src), static_cast<unsigned>(dst));
 }
 
-void LiveCluster::dispatch(SiteId src, SiteId dst,
-                           std::vector<std::uint8_t> frame) {
-  codec::Reader r(frame);
-  const auto tag = r.u8();
-  if (!tag) return;
-  const auto type = static_cast<codec::MsgType>(*tag);
-  if (trace_ != nullptr) {
-    const SimTime t = now();
-    trace_->message(class_of(type), src, dst, frame.size() + 4, t, t);
+void LiveCluster::arrive(SiteId from, SiteId to, net::Msg m) {
+  if (TxnPtr* ref = id_ref(m)) {
+    const TxnId id = (*ref)->id;
+    auto& st = rx_state_[to];
+    if (auto it = st.txns.find(id); it != st.txns.end()) {
+      *ref = it->second;
+    } else if (!std::holds_alternative<net::Paxos2aMsg>(m)) {
+      st.parked[id].emplace_back(from, std::move(m));
+      return;
+    }
+    // An unknown id on a Paxos 2a keeps its decoded stub: an acceptor need
+    // not be a certification participant, and acceptor logic only needs the
+    // transaction's identity.
   }
-  switch (type) {
-    case codec::MsgType::kTermDeliver: {
-      auto m = codec::decode_txn(r);
-      if (!m) break;
-      deliver_term(dst, std::make_shared<const TxnRecord>(std::move(*m)));
-      return;
-    }
-    case codec::MsgType::kTermSubmit: {
-      auto m = codec::decode_term_submit(r);
-      if (!m) break;
-      relay_term(std::make_shared<const TxnRecord>(std::move(m->txn)),
-                 m->dests);
-      return;
-    }
-    case codec::MsgType::kVote: {
-      auto m = codec::decode_vote(r);
-      if (!m) break;
-      with_txn(dst, m->txn,
-               [this, dst, voter = m->voter, v = m->vote](const TxnPtr& t) {
-                 replicas_[dst]->on_vote(t, voter, v);
-               });
-      return;
-    }
-    case codec::MsgType::kDecision: {
-      auto m = codec::decode_decision(r);
-      if (!m) break;
-      with_txn(dst, m->txn, [this, dst, c = m->commit](const TxnPtr& t) {
-        replicas_[dst]->on_decision(t, c);
-      });
-      return;
-    }
-    case codec::MsgType::kPaxos2a: {
-      auto m = codec::decode_paxos(r);
-      if (!m) break;
-      // An acceptor need not be a certification participant, so it may
-      // never receive the termination record; Paxos acceptor logic only
-      // needs the transaction's identity.
-      auto& st = dispatch_state_[dst];
-      auto it = st.txns.find(m->txn);
-      TxnPtr t;
-      if (it != st.txns.end()) {
-        t = it->second;
-      } else {
-        auto stub = std::make_shared<TxnRecord>();
-        stub->id = m->txn;
-        t = stub;
-      }
-      replicas_[dst]->on_paxos_2a(t, m->participant, m->vote);
-      return;
-    }
-    case codec::MsgType::kPaxos2b: {
-      auto m = codec::decode_paxos(r);
-      if (!m) break;
-      with_txn(dst, m->txn,
-               [this, dst, p = m->participant, v = m->vote,
-                a = m->acceptor](const TxnPtr& t) {
-                 replicas_[dst]->on_paxos_2b(t, p, v, a);
-               });
-      return;
-    }
-    case codec::MsgType::kReadRequest: {
-      auto m = codec::decode_read_request(r);
-      if (!m) break;
-      // The served transaction exists only at its coordinator; the request
-      // carries everything the serving side consults (its snapshot).
-      auto shadow = std::make_shared<TxnRecord>();
-      shadow->snap = m->snap;
-      replicas_[dst]->serve_remote_read(
-          m->requester, shadow, m->obj,
-          [this, dst, requester = m->requester, req = m->req](
-              bool ok, std::optional<store::Version> v) {
-            codec::Writer w;
-            w.u8(static_cast<std::uint8_t>(codec::MsgType::kReadReply));
-            codec::encode_read_reply(
-                w, {req, ok, v.has_value(), v ? *v : store::Version{},
-                    v ? net::wire::kPayload : 0});
-            send_frame(dst, requester, w);
-          });
-      return;
-    }
-    case codec::MsgType::kReadReply: {
-      auto m = codec::decode_read_reply(r);
-      if (!m) break;
-      auto& st = dispatch_state_[dst];
-      auto it = st.reads.find(m->req);
-      if (it == st.reads.end()) break;
-      PendingRead pr = std::move(it->second);
-      st.reads.erase(it);
-      if (m->ok) {
-        replicas_[dst]->record_read(pr.t, pr.obj,
-                                    m->has_version ? &m->version : nullptr);
-      }
-      pr.cb(m->ok);
-      return;
-    }
-    case codec::MsgType::kPropagate: {
-      auto m = codec::decode_propagate(r);
-      if (!m) break;
-      oracle().on_propagate(dst, m->stamp);
-      return;
-    }
-    case codec::MsgType::kBatch: {
-      auto m = codec::decode_batch(r);
-      if (!m) break;
-      // Each item is a complete tagged frame body; re-dispatch preserves
-      // the sender's append order, so per-link FIFO survives coalescing.
-      for (auto& inner : *m) dispatch(src, dst, std::move(inner));
-      return;
-    }
-    case codec::MsgType::kControl:
-      return;  // handshake-only; nothing to do mid-run
-    case codec::MsgType::kClientHello:
-    case codec::MsgType::kClientWelcome:
-    case codec::MsgType::kClientReq:
-    case codec::MsgType::kClientResp:
-    case codec::MsgType::kPushback:
-      break;  // client-protocol frames never travel between sites
+  receive(from, to, m);
+  if (const TxnPtr* t = full_record(m)) learn(to, *t);
+}
+
+void LiveCluster::remember(SiteId at, const TxnPtr& t) {
+  auto& st = rx_state_[at];
+  if (!st.txns.emplace(t->id, t).second) return;
+  st.txn_fifo.push_back(t->id);
+  if (st.txn_fifo.size() > kTxnCacheCap) {
+    const TxnId old = st.txn_fifo.front();
+    st.txn_fifo.pop_front();
+    st.txns.erase(old);
+    st.parked.erase(old);
   }
-  GDUR_WARN("live: dropping malformed frame type=%u src=%u dst=%u",
-            static_cast<unsigned>(*tag), static_cast<unsigned>(src),
-            static_cast<unsigned>(dst));
+}
+
+void LiveCluster::learn(SiteId at, const TxnPtr& t) {
+  remember(at, t);
+  auto& st = rx_state_[at];
+  auto it = st.parked.find(t->id);
+  if (it == st.parked.end()) return;
+  auto parked = std::move(it->second);
+  st.parked.erase(it);
+  for (auto& [from, m] : parked) arrive(from, at, std::move(m));
 }
 
 }  // namespace gdur::live

@@ -1,10 +1,12 @@
 // LiveCluster — the G-DUR engine deployed on real sockets and threads.
 //
 // Inherits the entire protocol wiring from core::Cluster (partitioner,
-// oracle, replicas, plug-in spec) and overrides only the transport/scheduler
-// seam: time is the wall clock, per-site work runs on a dedicated mailbox
-// thread, and every protocol message travels as real bytes through
-// net::codec over loopback TCP (live::LiveTransport).
+// oracle, replicas, group communication, plug-in spec) and overrides only
+// the scheduler seam, the ship hook and send_reconfig: time is the wall
+// clock, per-site work runs on a dedicated mailbox thread, and every
+// inter-site message (net::Msg) travels as real bytes through net::codec
+// over loopback TCP (live::LiveTransport) — or, when a site sends to
+// itself, is posted to its mailbox as the struct itself.
 //
 // Threading model
 //   * One thread per site drains that site's Mailbox; the replica and all
@@ -28,12 +30,13 @@
 //     sites (per-site clock slots live in one object); it is wrapped in a
 //     serializing mutex decorator at construction.
 //
-// Group communication: all xcast flavors (AB, AM, pairwise) are realized by
-// relaying termination messages through a fixed sequencer site (site 0) over
-// FIFO TCP links. That yields a total delivery order — strictly stronger
-// than any of the three primitives requires — so every plug-in's ordering
-// assumption holds. 2PC/Paxos decisions, votes, reads and background
-// propagation go directly between sites.
+// Group communication runs the simulator's own comm/ primitives over the
+// sockets: Skeen's genuine multicast for AM-Cast and AMpw-Cast (only a
+// transaction's destinations take steps), the fixed-sequencer uniform
+// broadcast for AB-Cast, reliable multicast for 2PC / Paxos Commit. The one
+// live-only receive step resolves messages the codec ships as a transaction
+// id (votes, decisions, Paxos rounds) against the records the site has sent
+// or received in full.
 //
 // What the simulator guarantees that live mode does not: determinism (thread
 // and network scheduling are real), analytic CPU cost accounting (real CPU
@@ -46,6 +49,7 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/analysis_annotations.h"
@@ -55,7 +59,6 @@
 #include "live/live_transport.h"
 #include "live/mailbox.h"
 #include "live/timer_wheel.h"
-#include "net/codec.h"
 
 namespace gdur::live {
 
@@ -96,7 +99,7 @@ class LiveCluster : public core::Cluster {
   /// Posts `fn` to site `at`'s mailbox (any thread).
   void post(SiteId at, std::function<void()> fn);
 
-  // --- transport/scheduler seam -----------------------------------------
+  // --- scheduler seam ---------------------------------------------------
   [[nodiscard]] SimTime now() const override;
   void run_after(SiteId at, SimDuration delay,
                  std::function<void()> fn) override;
@@ -118,30 +121,7 @@ class LiveCluster : public core::Cluster {
   void with_apply_exclusion(SiteId at,
                             const std::function<void()>& fn) override;
   [[nodiscard]] bool site_down(SiteId) const override { return false; }
-  void remote_read(SiteId from, SiteId target, const core::MutTxnPtr& t,
-                   ObjectId x, std::function<void(bool)> cb) override;
 
-  // --- client API: posts straight onto the coordinator's mailbox --------
-  void begin(SiteId coord, std::function<void(core::MutTxnPtr)> cb) override;
-  void read(SiteId coord, const core::MutTxnPtr& t, ObjectId x,
-            std::function<void(bool)> cb) override;
-  void write(SiteId coord, const core::MutTxnPtr& t, ObjectId x,
-             std::function<void()> cb) override;
-  void commit(SiteId coord, const core::MutTxnPtr& t,
-              std::function<void(bool)> cb) override;
-
-  // --- protocol messaging over the wire ---------------------------------
-  void xcast_term(const core::TxnPtr& t, std::vector<SiteId> dests) override;
-  void send_vote(SiteId from, SiteId to, const core::TxnPtr& t,
-                 bool vote) override;
-  void send_decision(SiteId from, SiteId to, const core::TxnPtr& t,
-                     bool commit) override;
-  void send_paxos_2a(SiteId from, SiteId acceptor, const core::TxnPtr& t,
-                     SiteId participant, bool vote) override;
-  void send_paxos_2b(SiteId from, SiteId to, const core::TxnPtr& t,
-                     SiteId participant, bool vote, SiteId acceptor) override;
-  void propagate_stamp(SiteId from, const core::TxnRecord& t,
-                       const std::vector<SiteId>& dests) override;
   /// Reconfiguration control messages take the in-process path: posted to
   /// the destination site's mailbox, so handlers still run only on that
   /// site's thread. (Live runs are fault-free; membership changes are rare
@@ -171,31 +151,31 @@ class LiveCluster : public core::Cluster {
   /// The one site this process hosts, or kNoSite when it hosts them all.
   [[nodiscard]] SiteId self_site() const { return self_; }
 
+ protected:
+  /// A client request posts straight onto the coordinator's mailbox; the
+  /// reply is a plain call there (clients run on their site's thread).
+  void client_request(SiteId coord, std::uint64_t bytes,
+                      std::function<void()> fn) override;
+  void client_reply(SiteId coord, std::uint64_t bytes,
+                    std::function<void()> fn) override;
+  /// A self-send is posted to the site's mailbox as the struct itself;
+  /// anything else is encoded and queued on the (from, to) link. With
+  /// coalescing on, a small frame joins the (from, to) batch, which ships at
+  /// mailbox idle or at its size cap; the batcher is site-thread only, like
+  /// every send, so it needs no lock.
+  void ship(SiteId from, SiteId to, net::Msg m) override;
+
  private:
-  /// The fixed relay site giving all group-communication flavors a total
-  /// delivery order over FIFO links.
-  static constexpr SiteId kSequencer = 0;
-
-  struct PendingRead {
-    core::MutTxnPtr t;
-    ObjectId obj = 0;
-    std::function<void(bool)> cb;
-  };
-
-  /// Per-site dispatcher state. Touched only by the site's mailbox thread.
+  /// Per-site receive state. Touched only by the site's mailbox thread.
   struct SiteState {
-    /// Termination records known here, so id-only wire messages (votes,
-    /// decisions, Paxos) can be dispatched against the full record.
+    /// Records this site sent or received in full, by id.
     std::unordered_map<TxnId, core::TxnPtr> txns;
     std::deque<TxnId> txn_fifo;  // bounded GC, mirrors Replica's caches
-    /// Messages that arrived before their termination record (possible:
-    /// votes travel on different links than the sequencer relay). Flushed
-    /// in arrival order on delivery.
-    std::unordered_map<TxnId,
-                       std::vector<std::function<void(const core::TxnPtr&)>>>
-        pending;
-    std::unordered_map<std::uint64_t, PendingRead> reads;
-    std::uint64_t read_seq = 0;
+    /// Id-only messages that arrived before their record (links from
+    /// different senders are not mutually ordered), with their senders, in
+    /// arrival order.
+    std::unordered_map<TxnId, std::vector<std::pair<SiteId, net::Msg>>>
+        parked;
   };
 
   /// Per-site outbound coalescing state; touched only on that site's
@@ -207,23 +187,16 @@ class LiveCluster : public core::Cluster {
     std::vector<std::size_t> bytes;  // dst -> pending payload bytes
   };
 
-  void dispatch(SiteId src, SiteId dst, std::vector<std::uint8_t> frame);
-  /// Registers `t` at `dst` if unknown; returns the canonical record (the
-  /// first one seen wins, so the coordinator keeps its original pointer).
-  const core::TxnPtr& register_txn(SiteId dst, const core::TxnPtr& t);
-  void deliver_term(SiteId dst, const core::TxnPtr& t);
-  /// Runs `fn(txn)` now if dst knows `id`, else buffers it until delivery.
-  void with_txn(SiteId dst, const TxnId& id,
-                std::function<void(const core::TxnPtr&)> fn);
-  /// Sequencer-side relay of one termination record to its destinations.
-  void relay_term(const core::TxnPtr& t, const std::vector<SiteId>& dests);
-  /// Direct (unbatched) send; flushes `to`'s pending batch first so the
-  /// per-link FIFO contract survives coalescing.
-  void send_frame(SiteId from, SiteId to, const net::codec::Writer& w);
-  /// Coalescing send for small protocol messages: appends the tagged frame
-  /// to the (from, to) batch (flushed at mailbox idle or at the size cap),
-  /// or falls through to a direct send with coalescing off.
-  void send_small(SiteId from, SiteId to, const net::codec::Writer& w);
+  /// Decodes a frame that arrived on the (src, dst) link.
+  void on_frame(SiteId src, SiteId dst, const std::vector<std::uint8_t>& frame);
+  /// The one live-only receive step: an id-only transaction reference is
+  /// resolved against the records `to` knows — or the message parked until
+  /// its record arrives — then Cluster::receive runs the message.
+  void arrive(SiteId from, SiteId to, net::Msg m);
+  /// Records `t` at `at` if its id is unknown there (the first record wins).
+  void remember(SiteId at, const core::TxnPtr& t);
+  /// remember(), then runs the messages parked for `t`.
+  void learn(SiteId at, const core::TxnPtr& t);
   /// Ships one destination's pending batch (site thread only).
   void flush_batch(SiteId from, SiteId to);
   /// Ships every pending batch of `from` (the mailbox idle hook).
@@ -257,7 +230,7 @@ class LiveCluster : public core::Cluster {
   // are the cross-thread rendezvous, reached from every certifier lane.
   GDUR_CONFINED("lifecycle") std::vector<std::thread> threads_;
   GDUR_CONFINED("lifecycle") std::vector<std::thread> shard_threads_;
-  std::vector<SiteState> dispatch_state_;
+  std::vector<SiteState> rx_state_;
   std::vector<Batcher> batchers_;
   TimerWheel wheel_;
   std::unique_ptr<LiveTransport> transport_live_;

@@ -1,7 +1,9 @@
 #include "net/codec.h"
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 namespace gdur::net::codec {
 
@@ -275,140 +277,213 @@ std::optional<store::Version> decode_version(Reader& r) {
   return v;
 }
 
-void encode_vote(Writer& w, const VoteMsg& m) {
-  encode_txn_id(w, m.txn);
-  w.u32(m.voter);
-  w.u8(m.vote ? 1 : 0);
-}
+namespace {
 
-std::optional<VoteMsg> decode_vote(Reader& r) {
-  const auto txn = decode_txn_id(r);
-  const auto voter = r.u32();
-  const auto vote = r.u8();
-  if (!txn || !voter || !vote || *vote > 1) return std::nullopt;
-  return VoteMsg{*txn, *voter, *vote != 0};
-}
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
 
-void encode_decision(Writer& w, const DecisionMsg& m) {
-  encode_txn_id(w, m.txn);
-  w.u8(m.commit ? 1 : 0);
+// One field list per message drives both directions: Enc writes the fields
+// of a const message, Dec reads them back into a fresh one. id() and snap()
+// ship a transaction as just its identity or just its snapshot.
+void fields(auto& f, Is<VoteMsg> auto& m) {
+  f.id(m.txn);
+  f(m.vote);
 }
-
-std::optional<DecisionMsg> decode_decision(Reader& r) {
-  const auto txn = decode_txn_id(r);
-  const auto commit = r.u8();
-  if (!txn || !commit || *commit > 1) return std::nullopt;
-  return DecisionMsg{*txn, *commit != 0};
+void fields(auto& f, Is<DecisionMsg> auto& m) {
+  f.id(m.txn);
+  f(m.commit);
 }
-
-void encode_paxos(Writer& w, const PaxosMsg& m) {
-  encode_txn_id(w, m.txn);
-  w.u32(m.participant);
-  w.u8(m.vote ? 1 : 0);
-  w.u32(m.acceptor);
+void fields(auto& f, Is<Paxos2aMsg> auto& m) {
+  f.id(m.txn);
+  f(m.vote);
 }
-
-std::optional<PaxosMsg> decode_paxos(Reader& r) {
-  const auto txn = decode_txn_id(r);
-  const auto participant = r.u32();
-  const auto vote = r.u8();
-  const auto acceptor = r.u32();
-  if (!txn || !participant || !vote || *vote > 1 || !acceptor)
-    return std::nullopt;
-  return PaxosMsg{*txn, *participant, *vote != 0, *acceptor};
+void fields(auto& f, Is<Paxos2bMsg> auto& m) {
+  f.id(m.txn);
+  f(m.participant);
+  f(m.vote);
 }
-
-void encode_read_request(Writer& w, const ReadRequestMsg& m) {
-  w.varint(m.req);
-  w.u32(m.requester);
-  w.varint(m.obj);
-  encode_snapshot(w, m.snap);
+void fields(auto& f, Is<ReadRequestMsg> auto& m) {
+  f(m.req);
+  f(m.obj);
+  f.snap(m.txn);
 }
-
-std::optional<ReadRequestMsg> decode_read_request(Reader& r) {
-  ReadRequestMsg m;
-  const auto req = r.varint();
-  const auto requester = r.u32();
-  const auto obj = r.varint();
-  auto snap = decode_snapshot(r);
-  if (!req || !requester || !obj || !snap) return std::nullopt;
-  m.req = *req;
-  m.requester = *requester;
-  m.obj = *obj;
-  m.snap = *std::move(snap);
-  return m;
+void fields(auto& f, Is<ReadReplyMsg> auto& m) {
+  f(m.req);
+  f(m.ok);
+  f(m.version);
 }
+void fields(auto& f, Is<PropagateMsg> auto& m) { f(m.stamp); }
+void fields(auto& f, Is<SkeenStep1> auto& m) { f(m.msg); }
+void fields(auto& f, Is<SkeenProposal> auto& m) {
+  f(m.id);
+  f(m.ts);
+  f(m.site);
+}
+void fields(auto& f, Is<SkeenRetry> auto& m) { f(m.msg); }
+void fields(auto& f, Is<SkeenFinalKey> auto& m) {
+  f(m.id);
+  f(m.ts);
+  f(m.site);
+}
+void fields(auto& f, Is<SkeenWitness> auto& m) {
+  f(m.id);
+  f(m.delivery);
+  f(m.echo);
+}
+void fields(auto& f, Is<AbSubmit> auto& m) { f(m.msg); }
+void fields(auto& f, Is<AbSequenced> auto& m) {
+  f(m.msg);
+  f(m.seq);
+}
+void fields(auto& f, Is<AbAck> auto& m) { f(m.seq); }
+void fields(auto& f, Is<RmDeliver> auto& m) { f(m.msg); }
 
-void encode_read_reply(Writer& w, const ReadReplyMsg& m) {
-  w.varint(m.req);
-  w.u8(m.ok ? 1 : 0);
-  w.u8(m.has_version ? 1 : 0);
-  if (m.has_version) {
-    encode_version(w, m.version);
-    // After-value: length marker + opaque payload bytes (same convention
-    // as termination after-values in encode_txn).
-    w.varint(m.payload_bytes);
-    for (std::uint64_t i = 0; i < m.payload_bytes; ++i) w.u8(0);
+struct Enc {
+  Writer& w;
+
+  void operator()(bool v) { w.u8(v ? 1 : 0); }
+  void operator()(SiteId v) { w.u32(v); }
+  void operator()(std::uint64_t v) { w.varint(v); }
+  void operator()(const std::shared_ptr<const versioning::Stamp>& s) {
+    encode_stamp(w, *s);
   }
-}
+  void operator()(const std::shared_ptr<const store::Version>& v) {
+    (*this)(v != nullptr);
+    if (v == nullptr) return;
+    encode_version(w, *v);
+    // After-value: length marker + opaque payload bytes (the convention of
+    // encode_txn).
+    w.varint(wire::kPayload);
+    for (std::uint64_t i = 0; i < wire::kPayload; ++i) w.u8(0);
+  }
+  void operator()(const McastPtr& m) {
+    w.varint(m->id);
+    w.u32(m->origin);
+    sites(m->dests);
+    sites(m->proposers);
+    w.varint(m->bytes);
+    encode_txn(w, *m->txn, wire::kPayload);
+  }
+  void id(const core::TxnPtr& t) { encode_txn_id(w, t->id); }
+  void snap(const core::TxnPtr& t) { encode_snapshot(w, t->snap); }
+  void sites(const std::vector<SiteId>& v) {
+    w.varint(v.size());
+    for (SiteId s : v) w.u32(s);
+  }
+};
 
-std::optional<ReadReplyMsg> decode_read_reply(Reader& r) {
-  ReadReplyMsg m;
-  const auto req = r.varint();
-  const auto ok = r.u8();
-  const auto hv = r.u8();
-  if (!req || !ok || *ok > 1 || !hv || *hv > 1) return std::nullopt;
-  m.req = *req;
-  m.ok = *ok != 0;
-  m.has_version = *hv != 0;
-  if (m.has_version) {
-    auto v = decode_version(r);
+/// Any missing or malformed field clears `ok`. (Reads after a failure stay
+/// bounds-checked; the message is dropped either way.)
+struct Dec {
+  Reader& r;
+  bool ok = true;
+
+  template <class T>
+  void put(T& v, const std::optional<T>& x) {
+    if (x) {
+      v = *x;
+    } else {
+      ok = false;
+    }
+  }
+  void operator()(bool& v) {
+    const auto b = r.u8();
+    if (b && *b <= 1) {
+      v = *b != 0;
+    } else {
+      ok = false;
+    }
+  }
+  void operator()(SiteId& v) { put(v, r.u32()); }
+  void operator()(std::uint64_t& v) { put(v, r.varint()); }
+  void operator()(std::shared_ptr<const versioning::Stamp>& s) {
+    auto x = decode_stamp(r);
+    if (x) {
+      s = std::make_shared<const versioning::Stamp>(*std::move(x));
+    } else {
+      ok = false;
+    }
+  }
+  void operator()(std::shared_ptr<const store::Version>& v) {
+    bool present = false;
+    (*this)(present);
+    if (!ok || !present) return;
+    auto x = decode_version(r);
     const auto len = r.varint();
-    if (!v || !len || r.remaining() < *len) return std::nullopt;
-    m.version = *std::move(v);
-    m.payload_bytes = *len;
-    for (std::uint64_t i = 0; i < *len; ++i)
-      if (!r.u8()) return std::nullopt;
+    if (!x || !len || r.remaining() < *len) {
+      ok = false;
+      return;
+    }
+    for (std::uint64_t i = 0; i < *len; ++i) (void)r.u8();
+    v = std::make_shared<const store::Version>(*std::move(x));
   }
-  return m;
-}
-
-void encode_term_submit(Writer& w, const TermSubmitMsg& m,
-                        std::uint64_t payload_bytes_per_write) {
-  w.varint(m.dests.size());
-  for (SiteId d : m.dests) w.u32(d);
-  encode_txn(w, m.txn, payload_bytes_per_write);
-}
-
-std::optional<TermSubmitMsg> decode_term_submit(Reader& r) {
-  TermSubmitMsg m;
-  const auto n = r.varint();
-  if (!n || *n > (1u << 20)) return std::nullopt;
-  m.dests.reserve(static_cast<std::size_t>(std::min(*n, std::uint64_t{r.remaining()})));
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    const auto d = r.u32();
-    if (!d) return std::nullopt;
-    m.dests.push_back(*d);
+  void operator()(McastPtr& p) {
+    auto m = std::make_shared<McastMsg>();
+    (*this)(m->id);
+    (*this)(m->origin);
+    sites(m->dests);
+    sites(m->proposers);
+    (*this)(m->bytes);
+    auto t = decode_txn(r);
+    if (!ok || !t) {
+      ok = false;
+      return;
+    }
+    m->txn = std::make_shared<const core::TxnRecord>(*std::move(t));
+    p = std::move(m);
   }
-  auto txn = decode_txn(r);
-  if (!txn) return std::nullopt;
-  m.txn = *std::move(txn);
-  return m;
+  void id(core::TxnPtr& t) {
+    auto rec = std::make_shared<core::TxnRecord>();
+    put(rec->id, decode_txn_id(r));
+    t = std::move(rec);
+  }
+  void snap(core::TxnPtr& t) {
+    auto rec = std::make_shared<core::TxnRecord>();
+    put(rec->snap, decode_snapshot(r));
+    t = std::move(rec);
+  }
+  void sites(std::vector<SiteId>& v) {
+    const auto n = r.varint();
+    // Four bytes per site: a count the rest of the frame cannot hold is
+    // corrupt, and must not drive an allocation.
+    if (!n || *n > r.remaining() / 4) {
+      ok = false;
+      return;
+    }
+    v.resize(static_cast<std::size_t>(*n));
+    for (SiteId& s : v) (*this)(s);
+  }
+};
+
+/// Decodes the body of net::Msg alternative `kind`.
+template <std::size_t I = 0>
+std::optional<Msg> decode_body(std::size_t kind, Reader& r) {
+  if constexpr (I == std::variant_size_v<Msg>) {
+    return std::nullopt;
+  } else {
+    if (kind != I) return decode_body<I + 1>(kind, r);
+    std::variant_alternative_t<I, Msg> m;
+    Dec d{r};
+    fields(d, m);
+    if (!d.ok) return std::nullopt;
+    return Msg{std::in_place_index<I>, std::move(m)};
+  }
 }
 
-void encode_propagate(Writer& w, const PropagateMsg& m) {
-  w.u32(m.from);
-  encode_stamp(w, m.stamp);
+}  // namespace
+
+void encode_msg(Writer& w, const Msg& m) {
+  w.u8(static_cast<std::uint8_t>(static_cast<std::size_t>(MsgType::kMsgBase) +
+                                 m.index()));
+  Enc e{w};
+  std::visit([&e](const auto& x) { fields(e, x); }, m);
 }
 
-std::optional<PropagateMsg> decode_propagate(Reader& r) {
-  PropagateMsg m;
-  const auto from = r.u32();
-  auto stamp = decode_stamp(r);
-  if (!from || !stamp) return std::nullopt;
-  m.from = *from;
-  m.stamp = *std::move(stamp);
-  return m;
+std::optional<Msg> decode_msg(Reader& r) {
+  const auto tag = r.u8();
+  constexpr auto kBase = static_cast<std::size_t>(MsgType::kMsgBase);
+  if (!tag || *tag < kBase) return std::nullopt;
+  return decode_body(*tag - kBase, r);
 }
 
 void encode_control(Writer& w, const ControlMsg& m) {

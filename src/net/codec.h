@@ -16,6 +16,7 @@
 
 #include "common/analysis_annotations.h"
 #include "core/transaction.h"
+#include "net/msg.h"
 #include "store/mv_store.h"
 
 namespace gdur::net::codec {
@@ -88,88 +89,30 @@ std::optional<core::TxnRecord> decode_txn(Reader& r);
 std::uint64_t encoded_txn_size(const core::TxnRecord& t,
                                std::uint64_t payload_bytes_per_write);
 
-// --- live-runtime message classes --------------------------------------------
+// --- live-runtime frames -----------------------------------------------------
 //
 // In the simulator payloads travel by pointer; the live runtime (src/live)
-// ships every protocol message as real bytes, framed as one type tag
-// followed by the body encoded below. Every class here round-trips
-// byte-exactly and rejects malformed input with nullopt (tests/test_codec).
+// ships every inter-site message (net::Msg) as real bytes, framed as one
+// type tag followed by the body encoded below. Every message round-trips
+// byte-exactly and malformed input decodes to nullopt (tests/test_codec).
 
-/// Frame type tag — first byte of every live frame. Values 1–15 are
-/// inter-site protocol traffic; 32+ is the client (front-door) protocol.
+/// Frame type tag — first byte of every live frame. An inter-site message
+/// is tagged kMsgBase + its index in net::Msg; 30 and 31 are link-level
+/// frames; 32+ is the client (front-door) protocol.
 enum class MsgType : std::uint8_t {
-  kTermDeliver = 1,  // body: encode_txn (termination record)
-  kTermSubmit = 2,   // body: TermSubmitMsg (origin -> sequencer)
-  kVote = 3,         // body: VoteMsg
-  kDecision = 4,     // body: DecisionMsg
-  kPaxos2a = 5,      // body: PaxosMsg (acceptor field unused)
-  kPaxos2b = 6,      // body: PaxosMsg
-  kReadRequest = 7,  // body: ReadRequestMsg
-  kReadReply = 8,    // body: ReadReplyMsg
-  kPropagate = 9,    // body: PropagateMsg
-  kControl = 10,     // body: ControlMsg (connection handshake etc.)
-  kBatch = 11,       // body: coalesced inner frames (encode_batch)
+  kMsgBase = 1,         // body: encode_msg
+  kControl = 30,        // body: ControlMsg (connection handshake)
+  kBatch = 31,          // body: coalesced inner frames (encode_batch)
   kClientHello = 32,    // body: ClientHelloMsg (client -> server)
   kClientWelcome = 33,  // body: ClientWelcomeMsg (server -> client)
   kClientReq = 34,      // body: ClientReqMsg
   kClientResp = 35,     // body: ClientRespMsg
   kPushback = 36,       // body: PushbackMsg (server -> client)
 };
-
-/// A certification vote (GC participant vote or 2PC vote to the coord).
-struct VoteMsg {
-  TxnId txn;
-  SiteId voter = 0;
-  bool vote = false;
-};
-
-/// 2PC / Paxos outcome, or a decided site answering an in-doubt voter.
-struct DecisionMsg {
-  TxnId txn;
-  bool commit = false;
-};
-
-/// Paxos Commit phase 2a (participant -> acceptor; `acceptor` unused) and
-/// 2b (acceptor -> coordinator).
-struct PaxosMsg {
-  TxnId txn;
-  SiteId participant = 0;
-  bool vote = false;
-  SiteId acceptor = 0;
-};
-
-/// Remote read request: the requester's snapshot travels with it
-/// (Algorithm 1 line 13). `req` correlates the reply.
-struct ReadRequestMsg {
-  std::uint64_t req = 0;
-  SiteId requester = 0;
-  ObjectId obj = 0;
-  versioning::TxnSnapshot snap;
-};
-
-/// Remote read reply: the chosen version (absent for the implicit initial
-/// version) plus its after-value, represented by a length marker + opaque
-/// bytes exactly like termination after-values.
-struct ReadReplyMsg {
-  std::uint64_t req = 0;
-  bool ok = false;
-  bool has_version = false;
-  store::Version version;  // meaningful only when has_version
-  std::uint64_t payload_bytes = 0;
-};
-
-/// Termination submission to the ordering sequencer: destination list +
-/// the full termination record.
-struct TermSubmitMsg {
-  std::vector<SiteId> dests;
-  core::TxnRecord txn;
-};
-
-/// Background stamp propagation (Walter / S-DUR post_commit).
-struct PropagateMsg {
-  SiteId from = 0;
-  versioning::Stamp stamp;
-};
+static_assert(static_cast<std::size_t>(MsgType::kMsgBase) +
+                      std::variant_size_v<Msg> <=
+                  static_cast<std::size_t>(MsgType::kControl),
+              "net::Msg tags overlap the link-level frames");
 
 /// Control-plane message (live connection handshake: kind 1 = hello, arg =
 /// the connecting site's id).
@@ -249,41 +192,17 @@ void encode_version(Writer& w, const store::Version& v);
 GDUR_HOT_PATH("nolock,noclock,noblock")
 std::optional<store::Version> decode_version(Reader& r);
 
+/// One inter-site message: its tag (kMsgBase + index) and body. A
+/// transaction travels as its receiver needs it: votes, decisions and Paxos
+/// rounds carry only the id, a read request only the snapshot, multicast
+/// steps the whole record. Decoding an id or a snapshot yields a stub
+/// record holding just that.
 GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_vote(Writer& w, const VoteMsg& m);
+void encode_msg(Writer& w, const Msg& m);
+/// Reads one tagged inter-site message; nullopt on any other tag or a
+/// malformed body.
 GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<VoteMsg> decode_vote(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_decision(Writer& w, const DecisionMsg& m);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<DecisionMsg> decode_decision(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_paxos(Writer& w, const PaxosMsg& m);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<PaxosMsg> decode_paxos(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_read_request(Writer& w, const ReadRequestMsg& m);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<ReadRequestMsg> decode_read_request(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_read_reply(Writer& w, const ReadReplyMsg& m);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<ReadReplyMsg> decode_read_reply(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_term_submit(Writer& w, const TermSubmitMsg& m,
-                        std::uint64_t payload_bytes_per_write);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<TermSubmitMsg> decode_term_submit(Reader& r);
-
-GDUR_HOT_PATH("nolock,noclock,noblock")
-void encode_propagate(Writer& w, const PropagateMsg& m);
-GDUR_HOT_PATH("nolock,noclock,noblock")
-std::optional<PropagateMsg> decode_propagate(Reader& r);
+std::optional<Msg> decode_msg(Reader& r);
 
 GDUR_HOT_PATH("nolock,noclock,noblock")
 void encode_control(Writer& w, const ControlMsg& m);

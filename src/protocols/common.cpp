@@ -1,6 +1,7 @@
 #include "protocols/common.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/cluster.h"
@@ -18,7 +19,9 @@ void propagate_to_rest(core::Cluster& cl, const core::TxnRecord& t) {
   // Background propagation targets participants only: a retiree is fenced
   // and a joiner catches up through the state-transfer stream instead.
   if (cl.reconfig_enabled()) rest = cl.view(t.epoch).filter(std::move(rest));
-  cl.propagate_stamp(t.id.coord, t, rest);
+  if (rest.empty()) return;
+  const auto stamp = std::make_shared<const versioning::Stamp>(t.stamp);
+  for (SiteId d : rest) cl.send(t.id.coord, d, net::PropagateMsg{stamp});
 }
 
 }  // namespace gdur::protocols

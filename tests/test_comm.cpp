@@ -1,9 +1,12 @@
 // Tests for the group-communication primitives: the ordering contracts that
-// the termination protocol builds on.
+// the termination protocol builds on, checked over a comm::Port faked on a
+// bare simulated Transport.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "comm/atomic_broadcast.h"
@@ -17,30 +20,76 @@
 namespace gdur::comm {
 namespace {
 
+using net::McastMsg;
+
+/// Every message is charged its analytic size on the simulated network and
+/// handed, on arrival, to the primitive the port serves.
+class TransportPort final : public Port {
+ public:
+  explicit TransportPort(net::Transport& net) : net_(net) {}
+
+  template <class Prim>
+  void serve(Prim& p) {
+    receive_ = [&p](SiteId from, SiteId at, const net::Msg& m) {
+      std::visit(
+          [&](const auto& x) {
+            if constexpr (Handles<Prim, std::decay_t<decltype(x)>>)
+              p.on(from, at, x);
+          },
+          m);
+    };
+  }
+
+  void send(SiteId from, SiteId to, net::Msg m) override {
+    const std::uint64_t bytes = net::wire_size(m, 0);
+    const obs::MsgClass cls = net::msg_class(m);
+    net_.send(
+        from, to, bytes,
+        [this, from, to, m = std::move(m)] { receive_(from, to, m); }, cls);
+  }
+  void run_after(SiteId /*at*/, SimDuration delay,
+                 std::function<void()> fn) override {
+    net_.simulator().after(delay, std::move(fn));
+  }
+  [[nodiscard]] bool site_down(SiteId s) const override {
+    return net_.cpu(s).down_at(net_.simulator().now());
+  }
+  [[nodiscard]] bool recovery_enabled() const override {
+    return net_.fault_injector() != nullptr;
+  }
+  [[nodiscard]] obs::ObsPlane* plane() const override { return nullptr; }
+  [[nodiscard]] SimTime now() const override { return net_.simulator().now(); }
+
+ private:
+  net::Transport& net_;
+  std::function<void(SiteId, SiteId, const net::Msg&)> receive_;
+};
+
 struct Fixture {
-  explicit Fixture(int sites)
-      : net(sim, net::Topology::geo(sites, milliseconds(10), milliseconds(20),
-                                    5)) {}
+  explicit Fixture(int n)
+      : sites(n),
+        net(sim, net::Topology::geo(n, milliseconds(10), milliseconds(20), 5)),
+        port(net) {}
 
   McastMsg msg(std::uint64_t id, SiteId origin, std::vector<SiteId> dests,
                std::uint64_t bytes = 100) {
-    return McastMsg{.id = id,
-                    .origin = origin,
-                    .dests = std::move(dests),
-                    .bytes = bytes,
-                    .payload = nullptr};
+    return McastMsg{
+        .id = id, .origin = origin, .dests = std::move(dests), .bytes = bytes};
   }
 
+  int sites;
   sim::Simulator sim;
   net::Transport net;
+  TransportPort port;
   std::map<SiteId, std::vector<std::uint64_t>> delivered;
 };
 
 TEST(ReliableMulticast, DeliversToAllDestinations) {
   Fixture f(4);
-  ReliableMulticast rm(f.net, [&](SiteId at, const McastMsg& m) {
+  ReliableMulticast rm(f.port, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(rm);
   f.sim.at(0, [&] { rm.multicast(f.msg(1, 0, {1, 2, 3})); });
   f.sim.run();
   for (SiteId s : {1u, 2u, 3u}) {
@@ -52,9 +101,10 @@ TEST(ReliableMulticast, DeliversToAllDestinations) {
 
 TEST(ReliableMulticast, SelfDeliveryWorks) {
   Fixture f(2);
-  ReliableMulticast rm(f.net, [&](SiteId at, const McastMsg& m) {
+  ReliableMulticast rm(f.port, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(rm);
   f.sim.at(0, [&] { rm.multicast(f.msg(7, 0, {0, 1})); });
   f.sim.run();
   EXPECT_EQ(f.delivered[0].size(), 1u);
@@ -63,9 +113,10 @@ TEST(ReliableMulticast, SelfDeliveryWorks) {
 
 TEST(AtomicBroadcast, EverySiteDeliversEverythingInTheSameOrder) {
   Fixture f(5);
-  AtomicBroadcast ab(f.net, [&](SiteId at, const McastMsg& m) {
+  AtomicBroadcast ab(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(ab);
   // Several sites broadcast concurrently.
   Rng rng(17);
   for (std::uint64_t i = 0; i < 40; ++i) {
@@ -83,9 +134,10 @@ TEST(AtomicBroadcast, EverySiteDeliversEverythingInTheSameOrder) {
 TEST(AtomicBroadcast, ThreeMessageDelayLatency) {
   Fixture f(4);
   SimTime delivered_at = 0;
-  AtomicBroadcast ab(f.net, [&](SiteId at, const McastMsg&) {
+  AtomicBroadcast ab(f.port, f.sites, [&](SiteId at, const McastMsg&) {
     if (at == 3) delivered_at = f.sim.now();
   });
+  f.port.serve(ab);
   f.sim.at(0, [&] { ab.broadcast(f.msg(1, 1, {})); });
   f.sim.run();
   // origin->sequencer, sequencer->all, ack round: >= 2 one-way delays and
@@ -96,9 +148,10 @@ TEST(AtomicBroadcast, ThreeMessageDelayLatency) {
 
 TEST(SkeenMulticast, TotalOrderPerDestinationGroup) {
   Fixture f(4);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   Rng rng(23);
   for (std::uint64_t i = 0; i < 50; ++i) {
     const auto origin = static_cast<SiteId>(rng.next_below(4));
@@ -115,9 +168,10 @@ TEST(SkeenMulticast, PairwiseOrderOnOverlappingGroups) {
   // order of m1 and m2.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Fixture f(4);
-    SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+    SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
       f.delivered[at].push_back(m.id);
     });
+    f.port.serve(sk);
     Rng rng(seed);
     for (std::uint64_t i = 0; i < 30; ++i) {
       const bool left = rng.next_bool(0.5);
@@ -148,9 +202,10 @@ TEST(SkeenMulticast, PairwiseOrderOnOverlappingGroups) {
 
 TEST(SkeenMulticast, GenuinenessOnlyDestinationsWork) {
   Fixture f(4);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   f.sim.at(0, [&] { sk.multicast(f.msg(1, 0, {1, 2})); });
   f.sim.run();
   // Site 3 neither delivers nor does any CPU work.
@@ -160,9 +215,10 @@ TEST(SkeenMulticast, GenuinenessOnlyDestinationsWork) {
 
 TEST(SkeenMulticast, SingleDestinationDelivers) {
   Fixture f(3);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   f.sim.at(0, [&] { sk.multicast(f.msg(9, 2, {0})); });
   f.sim.run();
   ASSERT_EQ(f.delivered[0].size(), 1u);
@@ -170,9 +226,10 @@ TEST(SkeenMulticast, SingleDestinationDelivers) {
 
 TEST(SkeenMulticast, OriginCanBeDestination) {
   Fixture f(3);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   f.sim.at(0, [&] { sk.multicast(f.msg(4, 1, {0, 1})); });
   f.sim.run();
   EXPECT_EQ(f.delivered[0].size(), 1u);
@@ -183,17 +240,19 @@ TEST(SkeenMulticast, FaultTolerantModeStillOrdersButCostsMore) {
   SimTime fast_done = 0, ft_done = 0;
   {
     Fixture f(4);
-    SkeenMulticast sk(f.net, [&](SiteId, const McastMsg&) {
+    SkeenMulticast sk(f.port, f.sites, [&](SiteId, const McastMsg&) {
       fast_done = f.sim.now();
     });
+    f.port.serve(sk);
     f.sim.at(0, [&] { sk.multicast(f.msg(1, 0, {1, 2})); });
     f.sim.run();
   }
   {
     Fixture f(4);
     SkeenMulticast sk(
-        f.net, [&](SiteId, const McastMsg&) { ft_done = f.sim.now(); },
+        f.port, f.sites, [&](SiteId, const McastMsg&) { ft_done = f.sim.now(); },
         /*fault_tolerant=*/true);
+    f.port.serve(sk);
     f.sim.at(0, [&] { sk.multicast(f.msg(1, 0, {1, 2})); });
     f.sim.run();
   }
@@ -204,9 +263,10 @@ TEST(SkeenMulticast, FaultTolerantModeStillOrdersButCostsMore) {
 TEST(SkeenMulticast, FaultTolerantTotalOrderHolds) {
   Fixture f(4);
   SkeenMulticast sk(
-      f.net,
+      f.port, f.sites,
       [&](SiteId at, const McastMsg& m) { f.delivered[at].push_back(m.id); },
       /*fault_tolerant=*/true);
+  f.port.serve(sk);
   Rng rng(31);
   for (std::uint64_t i = 0; i < 30; ++i) {
     const auto origin = static_cast<SiteId>(rng.next_below(4));
@@ -220,7 +280,8 @@ TEST(SkeenMulticast, FaultTolerantTotalOrderHolds) {
 
 TEST(SkeenMulticast, MessageComplexityIsQuadraticInDests) {
   Fixture f(8);
-  SkeenMulticast sk(f.net, [](SiteId, const McastMsg&) {});
+  SkeenMulticast sk(f.port, f.sites, [](SiteId, const McastMsg&) {});
+  f.port.serve(sk);
   f.sim.at(0, [&] {
     sk.multicast(f.msg(1, 0, {1, 2, 3, 4}));
   });
@@ -236,9 +297,10 @@ TEST(SkeenMulticast, GroupProposersOrderForAllMembers) {
   // propose, yet every member delivers, and members of both groups agree
   // on the order of common messages.
   Fixture f(4);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   Rng rng(41);
   for (std::uint64_t i = 0; i < 30; ++i) {
     auto m = f.msg(i, static_cast<SiteId>(rng.next_below(4)), {0, 1, 2, 3});
@@ -256,9 +318,10 @@ TEST(SkeenMulticast, NonProposerFailureDoesNotBlockOrdering) {
   // Member 1 of group {0,1} is down; since only 0 proposes, the other
   // destinations still deliver.
   Fixture f(4);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   f.net.pause_site(1, seconds(60));
   auto m = f.msg(1, 3, {0, 1, 2});
   m.proposers = {0, 2};
@@ -273,9 +336,10 @@ TEST(SkeenMulticast, ProposerFailureBlocksUntilRecovery) {
   // The flip side (the paper's §5.3 perfect-failure-detector caveat): a
   // failed *proposer* stalls the message until it comes back.
   Fixture f(4);
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   f.net.pause_site(0, milliseconds(500));
   auto m = f.msg(1, 3, {0, 1, 2});
   m.proposers = {0, 2};
@@ -307,9 +371,10 @@ TEST(SkeenMulticast, CrashWindowLossesRecoverAndPreserveTotalOrder) {
   // by hand here.
   f.sim.at(milliseconds(60),
            [&] { f.net.cpu(2).crash_until(milliseconds(140)); });
-  SkeenMulticast sk(f.net, [&](SiteId at, const McastMsg& m) {
+  SkeenMulticast sk(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(sk);
   for (std::uint64_t i = 0; i < 40; ++i) {
     // 100 kB messages cost 1.5 ms to unmarshal, so the burst backs the
     // receive queue at site 2 up across the crash instant: the retransmit
@@ -328,9 +393,10 @@ TEST(SkeenMulticast, CrashWindowLossesRecoverAndPreserveTotalOrder) {
 
 TEST(AtomicBroadcast, SequencerOriginWorks) {
   Fixture f(3);
-  AtomicBroadcast ab(f.net, [&](SiteId at, const McastMsg& m) {
+  AtomicBroadcast ab(f.port, f.sites, [&](SiteId at, const McastMsg& m) {
     f.delivered[at].push_back(m.id);
   });
+  f.port.serve(ab);
   f.sim.at(0, [&] { ab.broadcast(f.msg(1, 0, {})); });  // origin == sequencer
   f.sim.run();
   for (SiteId s = 0; s < 3; ++s) EXPECT_EQ(f.delivered[s].size(), 1u);

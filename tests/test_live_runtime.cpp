@@ -10,10 +10,15 @@
 #include <thread>
 #include <vector>
 
+#include "harness/metrics.h"
+#include "live/live_cluster.h"
 #include "live/live_runner.h"
 #include "live/live_transport.h"
 #include "live/mailbox.h"
 #include "live/timer_wheel.h"
+#include "obs/plane.h"
+#include "protocols/protocols.h"
+#include "workload/client.h"
 
 namespace gdur::live {
 namespace {
@@ -249,6 +254,72 @@ TEST(LiveRunner, OpenLoopRunIsCheckerClean) {
   EXPECT_TRUE(r.checker_ok) << r.checker_detail;
   EXPECT_GT(r.metrics.committed(), 0u);
   EXPECT_EQ(r.hung_clients, 0);
+}
+
+/// Runs `left` transactions back to back from `site`, on its mailbox thread.
+struct TxnChain : std::enable_shared_from_this<TxnChain> {
+  TxnChain(core::Cluster& c, SiteId s, int n, std::atomic<int>& finished)
+      : cl(c),
+        site(s),
+        left(n),
+        done(finished),
+        gen(workload::WorkloadSpec::A(0.5), c.partitioner(), s, 11 + s) {}
+
+  void next() {
+    if (left-- == 0) {
+      done.fetch_add(1);
+      return;
+    }
+    workload::run_transaction(
+        cl, site, std::make_shared<workload::TxnProfile>(gen.next()), metrics,
+        nullptr, [self = shared_from_this()] { self->next(); });
+  }
+
+  core::Cluster& cl;
+  SiteId site;
+  int left;
+  std::atomic<int>& done;
+  workload::Generator gen;
+  harness::Metrics metrics;
+};
+
+// The vote observer sees a vote as it leaves its voter on both backends —
+// Paxos Commit's 2a proposals included, which live mode used to skip.
+TEST(LiveCluster, VoteObserverSeesEveryPaxos2aProposal) {
+  constexpr int kSites = 3;
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = kSites});
+  LiveConfig lc;
+  lc.base.sites = kSites;
+  lc.base.objects_per_site = 1024;
+  lc.base.plane = &plane;
+  LiveCluster cl(lc, protocols::by_name("P-Store+Paxos"));
+  std::atomic<std::uint64_t> observed{0};
+  cl.set_vote_observer([&observed](const core::Cluster::VoteEvent&) {
+    observed.fetch_add(1, std::memory_order_relaxed);
+  });
+  cl.start();
+  std::atomic<int> done{0};
+  std::vector<std::shared_ptr<TxnChain>> chains;
+  for (SiteId s = 0; s < kSites; ++s) {
+    chains.push_back(std::make_shared<TxnChain>(cl, s, 40, done));
+    cl.post(s, [c = chains.back()] { c->next(); });
+  }
+  // Every acceptor counts the 2a proposals it takes in; the last ones may
+  // still be landing after the last decision.
+  const auto accepted = [&plane] {
+    std::uint64_t n = 0;
+    for (SiteId s = 0; s < kSites; ++s)
+      n += plane.slot(s).value(obs::Counter::kVotesRecv);
+    return n;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while ((done.load() < kSites || accepted() != observed.load()) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  cl.stop();
+  EXPECT_EQ(done.load(), kSites) << "transactions did not finish";
+  EXPECT_GT(accepted(), 0u);
+  EXPECT_EQ(observed.load(), accepted());
 }
 
 }  // namespace

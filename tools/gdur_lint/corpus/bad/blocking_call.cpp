@@ -1,7 +1,8 @@
 // lint-as: src/live/blocking_call.cpp
 //
-// Lint fixture (never compiled): blocking the event-loop thread outside
-// event_loop.cpp. One site is legitimately allowed with a reason.
+// Lint fixture (never compiled): blocking a live-runtime thread — a site
+// mailbox, the reactor or the timer wheel. One site is legitimately allowed
+// with a reason.
 
 #include <chrono>
 #include <thread>

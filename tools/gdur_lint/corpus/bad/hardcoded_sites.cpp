@@ -8,7 +8,7 @@ namespace gdur::corpus {
 
 void broadcast_votes(Cluster& cl, const TxnRecord& t) {
   for (SiteId s = 0; s < static_cast<SiteId>(cl.sites()); ++s)  // expect: membership/hardcoded-sites
-    cl.send_vote(0, s, t, true);
+    cl.send(0, s, net::VoteMsg{t, true});
 }
 
 void count_quorum(int n_sites, const std::vector<bool>& acks) {
@@ -31,7 +31,7 @@ void bootstrap(const ClusterConfig& cfg, std::vector<ReplicaPtr>& replicas) {
 
 void view_driven(Cluster& cl, const TxnRecord& t) {
   // The right shape: iterate the agreed view of the transaction's epoch.
-  for (SiteId s : cl.view(t.epoch).members) cl.send_vote(0, s, t, true);
+  for (SiteId s : cl.view(t.epoch).members) cl.send(0, s, net::VoteMsg{t, true});
 }
 
 }  // namespace gdur::corpus

@@ -19,15 +19,16 @@ Rules
                            src/{core,sim,protocols,obs,comm,checker} — hash
                            order must never feed message schedules, traces,
                            certification order, or checker output.
-  live/blocking-call       blocking syscalls / sleeps in src/live/ outside
-                           event_loop.cpp (the poll loop owns blocking), and
-                           in the front-door dispatch path — src/front/
-                           outside reactor.cpp (the reactor's wait owns
-                           blocking), client.cpp (client-side code blocks by
-                           design) and signals.cpp (interruptible_sleep is a
-                           sanctioned sleep). FrontServer handlers run on
-                           the site mailbox thread; a sleep or blocking
-                           syscall there stalls the whole replica.
+  live/blocking-call       blocking syscalls / sleeps in src/live/, in
+                           src/comm/ (its handlers run on site mailbox
+                           threads in live mode), and in the front-door
+                           dispatch path — src/front/ outside reactor.cpp
+                           (the reactor's wait owns blocking), client.cpp
+                           (client-side code blocks by design) and
+                           signals.cpp (interruptible_sleep is a sanctioned
+                           sleep). FrontServer handlers run on the site
+                           mailbox thread; a sleep or blocking syscall there
+                           stalls the whole replica.
   front/dispatch-alloc     allocation or sleep inside the reactor demux
                            functions (run_epoll, drain_control,
                            update_interest in src/front/reactor.cpp) — the
@@ -848,8 +849,9 @@ def in_scope_unordered(path: str) -> bool:
 
 
 def in_scope_blocking(path: str) -> bool:
-    if (path.startswith("src/live/")
-            and os.path.basename(path) != "event_loop.cpp"):
+    # Live-runtime threads, and the group-communication handlers that run on
+    # the site mailbox threads.
+    if path.startswith(("src/live/", "src/comm/")):
         return True
     # Front-door dispatch path: everything under src/front/ except the
     # reactor (its wait owns blocking), the client library (client-side code
@@ -902,8 +904,8 @@ def run_rules(files: list[SourceFile],
         if in_scope_blocking(sf.path):
             check_patterns(
                 sf, BLOCKING_PATTERNS, "live/blocking-call",
-                "can block the event-loop thread; only event_loop.cpp may "
-                "block (in poll())", diags)
+                "can block a live-runtime thread (site mailbox, reactor, "
+                "timer wheel); only the reactor's wait may block", diags)
         if in_scope_dispatch(sf.path):
             check_dispatch_alloc(sf, diags)
         if in_scope_spec(sf.path):
