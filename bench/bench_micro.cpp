@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "comm/skeen_multicast.h"
 #include "net/transport.h"
+#include "obs/plane.h"
 #include "sim/simulator.h"
 #include "store/mv_store.h"
 #include "versioning/oracle.h"
@@ -89,7 +90,8 @@ BENCHMARK(BM_OracleChooseCons);
 /// instance.
 class SkeenPort final : public comm::Port {
  public:
-  explicit SkeenPort(net::Transport& net) : net_(net) {}
+  SkeenPort(net::Transport& net, obs::ObsPlane& plane)
+      : net_(net), plane_(plane) {}
   comm::SkeenMulticast* sk = nullptr;
 
   void send(SiteId from, SiteId to, net::Msg m) override {
@@ -114,19 +116,22 @@ class SkeenPort final : public comm::Port {
   }
   [[nodiscard]] bool site_down(SiteId /*s*/) const override { return false; }
   [[nodiscard]] bool recovery_enabled() const override { return false; }
-  [[nodiscard]] obs::ObsPlane* plane() const override { return nullptr; }
+  [[nodiscard]] obs::ObsPlane& plane() const override { return plane_; }
   [[nodiscard]] SimTime now() const override { return net_.simulator().now(); }
 
  private:
   net::Transport& net_;
+  obs::ObsPlane& plane_;
 };
 
 void BM_SkeenMulticastRound(benchmark::State& state) {
   const auto dests = static_cast<std::size_t>(state.range(0));
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 8});
   for (auto _ : state) {
     sim::Simulator sim;
-    net::Transport net(sim, net::Topology::uniform(8, milliseconds(10)));
-    SkeenPort port(net);
+    net::Transport net(sim, net::Topology::uniform(8, milliseconds(10)),
+                       plane);
+    SkeenPort port(net, plane);
     int delivered = 0;
     comm::SkeenMulticast sk(port, 8,
                             [&](SiteId, const net::McastMsg&) { ++delivered; });

@@ -21,23 +21,22 @@
 //                     (kBatch frames, flushed at mailbox-idle / size cap)
 //   --seed N          workload seed (default 42)
 //   --no-check        skip history checking
-//   --obs             attach the observability plane (telemetry + flight
-//                     recorder + stall watchdog + invariant monitor)
-//   --snapshot PFX    with --obs: write PFX.json / PFX.prom snapshots every
-//                     second and flight dumps to PFX.flight.txt
+//   --snapshot PFX    write observability-plane snapshots (PFX.json /
+//                     PFX.prom) every second and flight dumps to
+//                     PFX.flight.txt
 //
-// Exit status: nonzero if any run violates its criterion, commits nothing,
-// leaves a client hung, or (with --obs) trips the watchdog or an invariant.
+// Every run carries the observability plane (telemetry, flight recorder,
+// stall watchdog, invariant monitor). Exit status: nonzero if any run
+// violates its criterion, commits nothing, leaves a client hung, trips the
+// watchdog or breaks an invariant.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "front/signals.h"
 #include "live/live_runner.h"
-#include "obs/plane.h"
 
 using namespace gdur;
 
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
   std::string protocol = "P-Store";
   double ro = 0.8;
   std::string workload = "A";
-  bool with_obs = false;
   std::string snapshot_prefix;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -92,10 +90,7 @@ int main(int argc, char** argv) {
       cfg.coalesce = true;
     } else if (std::strcmp(a, "--no-check") == 0) {
       cfg.check = false;
-    } else if (std::strcmp(a, "--obs") == 0) {
-      with_obs = true;
     } else if (std::strcmp(a, "--snapshot") == 0 && i + 1 < argc) {
-      with_obs = true;
       snapshot_prefix = argv[++i];
     } else {
       std::fprintf(stderr, "unknown flag: %s (see header comment)\n", a);
@@ -118,18 +113,10 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (const auto& p : protocols) {
     cfg.protocol = p;
-    // One plane per run: counters and verdicts are per-protocol.
-    std::unique_ptr<obs::ObsPlane> plane;
-    if (with_obs) {
-      obs::ObsPlaneConfig pc;
-      pc.sites = cfg.sites;
-      plane = std::make_unique<obs::ObsPlane>(pc);
-      cfg.plane = plane.get();
-      cfg.snapshot_prefix =
-          protocols.size() > 1 && !snapshot_prefix.empty()
-              ? snapshot_prefix + "." + p
-              : snapshot_prefix;
-    }
+    // Each run's cluster owns its plane, so verdicts are per-protocol.
+    cfg.snapshot_prefix = protocols.size() > 1 && !snapshot_prefix.empty()
+                              ? snapshot_prefix + "." + p
+                              : snapshot_prefix;
     const auto r = live::run_live(cfg);
     const bool ok = r.checker_ok && r.metrics.committed() > 0 &&
                     r.hung_clients == 0 && r.watchdog_trips == 0 &&
@@ -155,7 +142,6 @@ int main(int argc, char** argv) {
     if (r.invariant_violations > 0)
       std::printf("  WARNING: %llu invariant violation(s)\n",
                   static_cast<unsigned long long>(r.invariant_violations));
-    cfg.plane = nullptr;
     if (r.interrupted) {
       std::printf("  interrupted: measurement window cut short, drained "
                   "cleanly\n");

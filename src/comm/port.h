@@ -33,8 +33,8 @@ class Port {
   /// True when the deployment can lose messages (a fault plan is
   /// installed): the ordering layer then re-requests what went missing.
   [[nodiscard]] virtual bool recovery_enabled() const = 0;
-  /// Observability plane, or nullptr.
-  [[nodiscard]] virtual obs::ObsPlane* plane() const = 0;
+  /// Observability plane the primitives record into.
+  [[nodiscard]] virtual obs::ObsPlane& plane() const = 0;
   /// Current time, for flight-recorder entries.
   [[nodiscard]] virtual SimTime now() const = 0;
 

@@ -94,9 +94,8 @@ void SkeenMulticast::on_step1(SiteId at, const net::McastPtr& msg) {
 
 void SkeenMulticast::send_proposal(SiteId at, std::uint64_t id, TsKey prop,
                                    const std::vector<SiteId>& dests) {
-  if (auto* p = port_.plane())
-    p->slot(at).record(obs::Counter::kOrderingMsgs,
-                       static_cast<std::uint64_t>(dests.size()));
+  port_.plane().slot(at).record(obs::Counter::kOrderingMsgs,
+                                static_cast<std::uint64_t>(dests.size()));
   for (SiteId d : dests) {
     if (d == at) {
       on_proposal(at, id, prop);
@@ -208,8 +207,7 @@ void SkeenMulticast::arm_recovery(SiteId at, std::uint64_t id) {
       // A wedge candidate: the ordering layer is re-driving a message whose
       // proposals went missing — exactly what the flight recorder should
       // still hold when the watchdog trips on the stalled queue behind it.
-      if (auto* pl = port_.plane())
-        pl->ring(at).append("skeen_rerequest", port_.now(), at, id);
+      port_.plane().ring(at).append("skeen_rerequest", port_.now(), at, id);
       // Re-request every proposal still missing, attaching our copy of the
       // message for proposers whose step 1 died with a crash.
       const std::vector<SiteId>& proposers =

@@ -21,7 +21,12 @@ struct Overloaded : F... {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
-    : spec_(std::move(spec)),
+    : own_plane_(cfg.plane != nullptr
+                     ? nullptr
+                     : std::make_unique<obs::ObsPlane>(
+                           obs::ObsPlaneConfig{.sites = cfg.sites})),
+      plane_(cfg.plane != nullptr ? *cfg.plane : *own_plane_),
+      spec_(std::move(spec)),
       part_(cfg.sites, cfg.replication,
             cfg.objects_per_site * static_cast<std::uint64_t>(cfg.sites),
             cfg.partitions_per_site) {
@@ -30,8 +35,8 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
 
   auto topo = net::Topology::geo(cfg.sites, cfg.min_latency, cfg.max_latency,
                                  cfg.seed * 31 + 7);
-  net_ = std::make_unique<net::Transport>(sim_, std::move(topo), cfg.cost,
-                                          cfg.cores_per_site,
+  net_ = std::make_unique<net::Transport>(sim_, std::move(topo), plane_,
+                                          cfg.cost, cfg.cores_per_site,
                                           cfg.seed * 131 + 11);
   oracle_ = versioning::make_oracle(spec_.theta, part_);
 
@@ -43,16 +48,13 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
                           static_cast<std::size_t>(shards_),
                       SimTime{0});
 
-  // Observability attachments are wired before the replicas exist: each
-  // replica caches its plane slot/ring pointers at construction.
-  plane_ = cfg.plane;
   // A sharded replica records into its site slot from several certifier
   // lanes (real threads in live mode), so the single-writer fast mode's
   // plain load/store counters would silently lose increments. Force it off
   // whenever shards are on, whatever the plane was configured with.
-  if (plane_ != nullptr && shards_ > 1)
-    for (std::size_t i = 0; i < plane_->stats().slots(); ++i)
-      plane_->stats().slot(i).set_single_writer(false);
+  if (shards_ > 1)
+    for (std::size_t i = 0; i < plane_.stats().slots(); ++i)
+      plane_.stats().slot(i).set_single_writer(false);
 
   replicas_.reserve(static_cast<std::size_t>(cfg.sites));
   // gdur-lint: allow(membership/hardcoded-sites) bootstrap builds one replica per universe site; membership fences participation
@@ -80,7 +82,6 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
   vote_retry_ = cfg.vote_retry;
   trace_ = cfg.trace;
   net_->set_trace(trace_);
-  net_->set_plane(plane_);
   if (!cfg.faults.empty()) {
     assert((cfg.faults.crashes.empty() || cfg.durable) &&
            "crash windows need durable=true: recovery replays the WAL");
@@ -94,17 +95,14 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
         replicas_[c.site]->on_crash();
         if (trace_ != nullptr)
           trace_->fault(obs::FaultKind::kCrash, c.site, kNoSite, sim_.now());
-        if (plane_ != nullptr) {
-          plane_->ring(c.site).append("crash", sim_.now(), c.site);
-          plane_->dump_flight("crash");
-        }
+        plane_.ring(c.site).append("crash", sim_.now(), c.site);
+        plane_.dump_flight("crash");
       });
       sim_.at(c.recover_at, [this, s = c.site] {
         replicas_[s]->on_recover();
         if (trace_ != nullptr)
           trace_->fault(obs::FaultKind::kRecovery, s, kNoSite, sim_.now());
-        if (plane_ != nullptr)
-          plane_->ring(s).append("recover", sim_.now(), s);
+        plane_.ring(s).append("recover", sim_.now(), s);
       });
     }
   }

@@ -86,11 +86,12 @@ struct ClusterConfig {
   /// built before the observability layer existed.
   obs::TraceRecorder* trace = nullptr;
   /// Production observability plane (obs/plane.h): always-on counters,
-  /// flight recorder, stall watchdog and online invariant monitor. Not
-  /// owned; must outlive the cluster. Like `trace`, every hook is a null
-  /// check, so a plane-free run is byte-identical to one without the
-  /// plane — and unlike `trace`, the plane is cheap enough to leave on in
-  /// a live deployment.
+  /// flight recorder, stall watchdog and online invariant monitor. Every
+  /// cluster records into one. nullptr = the cluster builds and owns a
+  /// plane sized to `sites`; otherwise the supplied plane is used, not
+  /// owned, and must outlive the cluster (to share it with a front door,
+  /// or to read it after the cluster is gone). Recording never schedules
+  /// events or charges CPU, so the plane never perturbs the simulation.
   obs::ObsPlane* plane = nullptr;
   /// Online-reconfiguration schedule (core/membership). Empty = the fixed
   /// membership of the paper's experiments; runs are then byte-identical to
@@ -251,8 +252,8 @@ class Cluster : public comm::Port {
 
   /// Attached trace recorder, or nullptr. Hooks must guard on this.
   [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
-  /// Attached observability plane, or nullptr. Hooks must guard on this.
-  [[nodiscard]] obs::ObsPlane* plane() const override { return plane_; }
+  /// The observability plane: the supplied one, or the cluster's own.
+  [[nodiscard]] obs::ObsPlane& plane() const override { return plane_; }
   [[nodiscard]] SimDuration term_timeout() const { return term_timeout_; }
   [[nodiscard]] SimDuration client_timeout() const { return client_timeout_; }
   [[nodiscard]] SimDuration vote_retry() const { return vote_retry_; }
@@ -335,6 +336,9 @@ class Cluster : public comm::Port {
                       static_cast<std::size_t>(shard)];
   }
 
+  /// Declared first, so it outlives everything that caches its slots.
+  std::unique_ptr<obs::ObsPlane> own_plane_;
+  obs::ObsPlane& plane_;
   ProtocolSpec spec_;
   sim::Simulator sim_;
   store::Partitioner part_;
@@ -367,7 +371,6 @@ class Cluster : public comm::Port {
   bool reconfig_enabled_ = false;
   std::unique_ptr<sim::FaultInjector> fault_;
   obs::TraceRecorder* trace_ = nullptr;
-  obs::ObsPlane* plane_ = nullptr;
   SimDuration term_timeout_ = 0;
   SimDuration client_timeout_ = 0;
   SimDuration vote_retry_ = 0;

@@ -12,13 +12,12 @@
 
 namespace gdur::core {
 
-Replica::Replica(Cluster& cluster, SiteId id) : cl_(cluster), id_(id) {
-  if (auto* p = cl_.plane()) {
-    oslot_ = &p->slot(id_);
-    oring_ = &p->ring(id_);
-    omon_ = &p->invariants();
-  }
-}
+Replica::Replica(Cluster& cluster, SiteId id)
+    : cl_(cluster),
+      id_(id),
+      oslot_(cluster.plane().slot(id)),
+      oring_(cluster.plane().ring(id)),
+      omon_(cluster.plane().invariants()) {}
 
 std::uint64_t Replica::latest_pidx(ObjectId x) const {
   const auto* chain = db_.chain(x);
@@ -224,10 +223,8 @@ void Replica::exec_commit(const MutTxnPtr& t, std::function<void(bool)> cb) {
   commit_cbs_[t->id] = std::move(cb);
   auto& st = state_of(ct);
   (void)st;
-  if (oslot_ != nullptr) {
-    oslot_->record(obs::Counter::kTxnSubmitted);
-    oring_->append("submit", cl_.now(), id_, t->id.coord, t->id.seq);
-  }
+  oslot_.record(obs::Counter::kTxnSubmitted);
+  oring_.append("submit", cl_.now(), id_, t->id.coord, t->id.seq);
   GDUR_TRACE("site %d submit txn %d.%llu rs=%zu ws=%zu", static_cast<int>(id_),
              static_cast<int>(t->id.coord),
              static_cast<unsigned long long>(t->id.seq), t->rs.size(),
@@ -290,11 +287,9 @@ void Replica::on_term_delivered(const TxnPtr& t) {
   q_.push_back(t->id);
   obs_q_pushes_.fetch_add(1, std::memory_order_relaxed);
   st.q_pos = cidx_.add(t);
-  if (oslot_ != nullptr) {
-    oslot_->record(obs::Counter::kTermDelivered);
-    oslot_->record_value(obs::Hist::kQueueDepth, q_.size());
-    oring_->append("deliver", cl_.now(), id_, t->id.coord, t->id.seq);
-  }
+  oslot_.record(obs::Counter::kTermDelivered);
+  oslot_.record_value(obs::Hist::kQueueDepth, q_.size());
+  oring_.append("deliver", cl_.now(), id_, t->id.coord, t->id.seq);
   GDUR_TRACE("site %d xdeliver txn %d.%llu |Q|=%zu", static_cast<int>(id_),
              static_cast<int>(t->id.coord),
              static_cast<unsigned long long>(t->id.seq), q_.size());
@@ -305,13 +300,13 @@ void Replica::on_term_delivered(const TxnPtr& t) {
   // (it rebuilds Q on replay); logged fire-and-forget — the vote is the
   // record that synchronizes with stable storage.
   if (cl_.fault_injector() != nullptr) {
-    if (oslot_ != nullptr && cl_.wal(id_) != nullptr)
-      oslot_->record(obs::Counter::kWalAppends);
-    if (auto* wal = cl_.wal(id_))
+    if (auto* wal = cl_.wal(id_)) {
+      oslot_.record(obs::Counter::kWalAppends);
       wal->append(net::wire::control(),
                   store::WalRecord{store::WalRecord::Kind::kDeliver, t->id,
                                    false, t->epoch, t},
                   [] {});
+    }
   }
 
   if (cl_.spec().ac != AcKind::kGroupComm) {
@@ -448,16 +443,14 @@ void Replica::cast_vote(const TxnPtr& t, bool preemptive_abort) {
                    static_cast<int>(v));
         if (auto* tr = cl_.trace())
           tr->certified(t->id, id_, cl_.now(), service, v);
-        if (oslot_ != nullptr) {
-          oslot_->record(obs::Counter::kCertified);
-          oslot_->record_value(obs::Hist::kCertifyUs,
-                               static_cast<std::uint64_t>(service / 1000));
-        }
+        oslot_.record(obs::Counter::kCertified);
+        oslot_.record_value(obs::Hist::kCertifyUs,
+                            static_cast<std::uint64_t>(service / 1000));
         // Crash-recovery durability (§5.3): the vote is a state change of
         // the commitment protocol and must reach stable storage before it
         // is announced.
         if (auto* wal = cl_.wal(id_)) {
-          if (oslot_ != nullptr) oslot_->record(obs::Counter::kWalAppends);
+          oslot_.record(obs::Counter::kWalAppends);
           std::optional<store::WalRecord> rec;
           if (cl_.fault_injector() != nullptr)
             rec = store::WalRecord{store::WalRecord::Kind::kVote, t->id, v,
@@ -478,7 +471,7 @@ void Replica::send_vote_msgs(const TxnPtr& t, bool v) {
       fi != nullptr && fi->consume_sabotage(sim::Sabotage::Kind::kDoubleVote,
                                             id_, cl_.now()))
     v = !v;
-  if (oslot_ != nullptr) oslot_->record(obs::Counter::kVotesSent);
+  oslot_.record(obs::Counter::kVotesSent);
   const auto& spec = cl_.spec();
   if (spec.ac == AcKind::kTwoPhaseCommit) {
     cl_.send(id_, t->id.coord, net::VoteMsg{t, v});
@@ -514,11 +507,9 @@ void Replica::announce_vote(const TxnPtr& t, bool v) {
   auto& st0 = state_of(t);
   st0.my_vote = v;
   st0.announced = true;
-  if (omon_ != nullptr)
-    omon_->note_vote(id_, t->id, v, cl_.now());
-  if (oring_ != nullptr)
-    oring_->append(v ? "vote_true" : "vote_false", cl_.now(), id_,
-                   t->id.coord, t->id.seq);
+  omon_.note_vote(id_, t->id, v, cl_.now());
+  oring_.append(v ? "vote_true" : "vote_false", cl_.now(), id_, t->id.coord,
+                t->id.seq);
   const auto& spec = cl_.spec();
   if (spec.ac == AcKind::kGroupComm &&
       spec.vote_snd == VoteScope::kLocalObjects) {
@@ -628,8 +619,8 @@ void Replica::on_vote(const TxnPtr& t, SiteId voter, bool vote) {
   // Every received vote feeds the online vote-consistency invariant —
   // including late ones: a contradiction is a contradiction regardless of
   // whether the outcome is already known here.
-  if (omon_ != nullptr) omon_->note_vote(voter, t->id, vote, cl_.now());
-  if (oslot_ != nullptr) oslot_->record(obs::Counter::kVotesRecv);
+  omon_.note_vote(voter, t->id, vote, cl_.now());
+  oslot_.record(obs::Counter::kVotesRecv);
   if (const Outcome* out = known_outcome(t->id)) {
     // A re-announced vote reached a site that already decided: answer with
     // the decision so the in-doubt voter can terminate.
@@ -686,9 +677,8 @@ void Replica::on_vote(const TxnPtr& t, SiteId voter, bool vote) {
       // §5.3: the decision is a state change — force it to the log before
       // announcing it, so a recovering coordinator re-announces rather
       // than re-deciding (possibly differently).
-      if (omon_ != nullptr)
-        omon_->note_wal_decision(id_, t->id, commit, cl_.now());
-      if (oslot_ != nullptr) oslot_->record(obs::Counter::kWalAppends);
+      omon_.note_wal_decision(id_, t->id, commit, cl_.now());
+      oslot_.record(obs::Counter::kWalAppends);
       wal->append(net::wire::decision() + 16,
                   store::WalRecord{store::WalRecord::Kind::kDecision, t->id,
                                    commit, t->epoch, t},
@@ -770,8 +760,8 @@ void Replica::on_paxos_2a(const TxnPtr& t, SiteId participant, bool vote) {
   }
   // The proposed vote is `participant`'s announced certification verdict —
   // feed it to the vote-consistency invariant like a direct vote.
-  if (omon_ != nullptr) omon_->note_vote(participant, t->id, vote, cl_.now());
-  if (oslot_ != nullptr) oslot_->record(obs::Counter::kVotesRecv);
+  omon_.note_vote(participant, t->id, vote, cl_.now());
+  oslot_.record(obs::Counter::kVotesRecv);
   // Acceptor: accept the first value proposed for (t, participant). The
   // participant is the only proposer at ballot 0, so conflicts cannot
   // arise; re-proposals are idempotent.
@@ -852,9 +842,8 @@ void Replica::on_paxos_2b(const TxnPtr& t, SiteId participant, bool vote,
   };
   if (auto* wal = cl_.wal(id_);
       wal != nullptr && cl_.fault_injector() != nullptr) {
-    if (omon_ != nullptr)
-      omon_->note_wal_decision(id_, t->id, commit, cl_.now());
-    if (oslot_ != nullptr) oslot_->record(obs::Counter::kWalAppends);
+    omon_.note_wal_decision(id_, t->id, commit, cl_.now());
+    oslot_.record(obs::Counter::kWalAppends);
     wal->append(net::wire::decision() + 16,
                 store::WalRecord{store::WalRecord::Kind::kDecision, t->id,
                                  commit, t->epoch, t},
@@ -888,14 +877,12 @@ void Replica::decide(const TxnPtr& t, bool commit, obs::AbortReason reason) {
              commit ? "commit" : obs::abort_reason_name(reason));
   if (auto* tr = cl_.trace())
     tr->decided(t->id, id_, cl_.now(), commit, reason);
-  if (oslot_ != nullptr) {
-    oslot_->record(obs::Counter::kDecisions);
-    oslot_->record(commit ? obs::Counter::kTxnCommitted
-                          : obs::Counter::kTxnAborted);
-    oring_->append(commit ? "commit" : "abort", cl_.now(), id_, t->id.coord,
-                   t->id.seq);
-  }
-  if (omon_ != nullptr) omon_->note_decided(id_, t->id, commit, cl_.now());
+  oslot_.record(obs::Counter::kDecisions);
+  oslot_.record(commit ? obs::Counter::kTxnCommitted
+                       : obs::Counter::kTxnAborted);
+  oring_.append(commit ? "commit" : "abort", cl_.now(), id_, t->id.coord,
+                t->id.seq);
+  omon_.note_decided(id_, t->id, commit, cl_.now());
 
   // Garbage-collect the termination state well after any straggler message.
   schedule_term_gc(t->id);
@@ -986,10 +973,8 @@ void Replica::apply_commit(const TxnPtr& t) {
   for (ObjectId o : txn.ws)
     if (part.is_local(id_, o)) local_ws.push_back(o);
 
-  if (oslot_ != nullptr) {
-    oslot_->record(obs::Counter::kApplies);
-    oring_->append("apply", now, id_, txn.id.coord, txn.id.seq);
-  }
+  oslot_.record(obs::Counter::kApplies);
+  oring_.append("apply", now, id_, txn.id.coord, txn.id.seq);
   // Store installs, the replica-wide version index and the recency window
   // are exactly the state shard certifier sub-votes read. The apply
   // exclusion makes this mutation safe against them: the live sharded
@@ -1026,7 +1011,7 @@ void Replica::apply_commit(const TxnPtr& t) {
         for (ObjectId o : txn.ws) latest_seq_[o] = stamp.seq;
       // Durable mode: persist the after-values off the critical path.
       if (auto* wal = cl_.wal(id_)) {
-        if (oslot_ != nullptr) oslot_->record(obs::Counter::kWalAppends);
+        oslot_.record(obs::Counter::kWalAppends);
         wal->append(net::wire::termination(0, local_ws.size(), 16), [] {});
       }
     } else {
@@ -1361,12 +1346,12 @@ void Replica::maybe_adopt_epoch(EpochId e) {
   // below the activated one — the regression the epoch-monotonicity
   // invariant must catch. Only the monitor's input is perturbed; the
   // protocol state stays healthy.
-  if (omon_ != nullptr && epoch_ > 0) {
+  if (epoch_ > 0) {
     if (auto* fi = cl_.fault_injector();
         fi != nullptr &&
         fi->consume_sabotage(sim::Sabotage::Kind::kEpochRegress, id_,
                              cl_.now()))
-      omon_->note_epoch(id_, epoch_ - 1, cl_.now());
+      omon_.note_epoch(id_, epoch_ - 1, cl_.now());
   }
   if (e <= epoch_ || !cl_.membership().has(e)) return;
   activate_epoch(e);
@@ -1379,11 +1364,9 @@ void Replica::maybe_adopt_epoch(EpochId e) {
 void Replica::activate_epoch(EpochId e) {
   if (e <= epoch_) return;
   epoch_ = e;
-  if (omon_ != nullptr) omon_->note_epoch(id_, e, cl_.now());
-  if (oslot_ != nullptr) {
-    oslot_->record(obs::Counter::kEpochActivations);
-    oring_->append("epoch_activate", cl_.now(), id_, e);
-  }
+  omon_.note_epoch(id_, e, cl_.now());
+  oslot_.record(obs::Counter::kEpochActivations);
+  oring_.append("epoch_activate", cl_.now(), id_, e);
   // The prepared state for this (or any older) epoch is resolved.
   if (pending_view_ && pending_view_->epoch <= e) {
     pending_view_.reset();
@@ -1450,7 +1433,7 @@ void Replica::log_reconfig(store::WalRecord::Kind kind,
   rec.flag = v.size() > cl_.view(v.epoch > 0 ? v.epoch - 1 : 0).size();
   rec.epoch = v.epoch;
   rec.payload = std::make_shared<const MembershipView>(v);
-  if (oslot_ != nullptr) oslot_->record(obs::Counter::kWalAppends);
+  oslot_.record(obs::Counter::kWalAppends);
   wal->append(net::wire::control() + 8u * v.members.size(), std::move(rec),
               std::move(done));
 }

@@ -367,11 +367,10 @@ class Replica {
   SiteId id_;
   store::MVStore db_;
 
-  // Observability plane attachments (all nullptr without a plane; cached at
-  // construction so every hook is one pointer test).
-  obs::StatsSlot* oslot_ = nullptr;
-  obs::FlightRing* oring_ = nullptr;
-  obs::InvariantMonitor* omon_ = nullptr;
+  // This site's observability plane parts, resolved once at construction.
+  obs::StatsSlot& oslot_;
+  obs::FlightRing& oring_;
+  obs::InvariantMonitor& omon_;
   std::atomic<std::uint64_t> obs_q_pushes_{0};
   std::atomic<std::uint64_t> obs_q_pops_{0};
 

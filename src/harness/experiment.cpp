@@ -8,60 +8,6 @@
 
 namespace gdur::harness {
 
-namespace {
-
-/// Periodic time-series sampler over the measurement window. Reads cluster
-/// state (committed count, per-site CPU utilization and load, certification
-/// queue depth) into the recorder's counter track; it never mutates protocol
-/// state, so attaching it changes nothing but events_per_second.
-class TimeSeriesSampler {
- public:
-  TimeSeriesSampler(core::Cluster& cluster, const Metrics& metrics,
-                    obs::TraceRecorder& tr, SimTime end)
-      : cl_(cluster),
-        metrics_(metrics),
-        tr_(tr),
-        bucket_(tr.config().timeseries_bucket),
-        end_(end) {}
-
-  void start() {
-    last_committed_ = metrics_.committed();
-    arm();
-  }
-
- private:
-  void arm() {
-    cl_.simulator().after(bucket_, [this] { tick(); });
-  }
-
-  void tick() {
-    const SimTime now = cl_.simulator().now();
-    const std::uint64_t committed = metrics_.committed();
-    tr_.sample("throughput_tps", kNoSite, now,
-               static_cast<double>(committed - last_committed_) /
-                   to_seconds(bucket_));
-    last_committed_ = committed;
-    for (SiteId s = 0; s < static_cast<SiteId>(cl_.sites()); ++s) {
-      tr_.sample("cpu_util", s, now,
-                 cl_.transport().cpu(s).utilization(now - bucket_, now));
-      tr_.sample("cpu_inflight", s, now,
-                 static_cast<double>(cl_.transport().cpu(s).inflight()));
-      tr_.sample("cert_queue", s, now,
-                 static_cast<double>(cl_.replica(s).queue_length()));
-    }
-    if (now + bucket_ <= end_) arm();
-  }
-
-  core::Cluster& cl_;
-  const Metrics& metrics_;
-  obs::TraceRecorder& tr_;
-  SimDuration bucket_;
-  SimTime end_;
-  std::uint64_t last_committed_ = 0;
-};
-
-}  // namespace
-
 RunResult run_experiment(const core::ProtocolSpec& spec,
                          const ExperimentConfig& cfg) {
   core::ClusterConfig ccfg = cfg.cluster;
@@ -96,12 +42,6 @@ RunResult run_experiment(const core::ProtocolSpec& spec,
   metrics.reset();
   cluster.transport().reset_accounting();
   if (tr != nullptr) tr->reset_counters();
-  std::unique_ptr<TimeSeriesSampler> sampler;
-  if (tr != nullptr && tr->config().timeseries_bucket > 0) {
-    sampler = std::make_unique<TimeSeriesSampler>(cluster, metrics, *tr,
-                                                  cfg.warmup + cfg.window);
-    sampler->start();
-  }
   const std::uint64_t events_before = sim.events_processed();
 
   sim.run_until(cfg.warmup + cfg.window);

@@ -181,11 +181,11 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
   };
   if (!cfg.peers.empty()) {
     // Multi-process mesh: real sockets to peer processes, one per site.
-    transport_live_ = std::make_unique<LiveTransport>(n, cfg.self, cfg.peers,
-                                                      wheel_, std::move(deliver));
+    transport_live_ = std::make_unique<LiveTransport>(
+        n, cfg.self, cfg.peers, wheel_, plane(), std::move(deliver));
   } else {
     transport_live_ =
-        std::make_unique<LiveTransport>(n, wheel_, std::move(deliver));
+        std::make_unique<LiveTransport>(n, wheel_, plane(), std::move(deliver));
   }
   if (cfg.delay_scale > 0) {
     const auto& topo = net_->topology();
@@ -198,25 +198,23 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
       }
   }
 
-  if (auto* p = plane()) {
-    // Telemetry: each site's mailbox thread records into that site's slot;
-    // the shared event-loop and timer-wheel threads share the runtime slot.
-    // Live mode has concurrent writers per slot (site thread + transport
-    // delivery + attendant), so force the atomic-RMW record path even if
-    // the caller built the plane for a single-writer sim run.
-    for (std::size_t i = 0; i < p->stats().slots(); ++i)
-      p->stats().slot(i).set_single_writer(false);
-    for (int s = 0; s < n; ++s)
-      mailboxes_[s]->set_stats(&p->slot(static_cast<SiteId>(s)));
-    // Shard certifier workers record into their site's slot (atomic RMW
-    // path — single-writer was just forced off above).
-    for (std::size_t i = 0; i < shard_mailboxes_.size(); ++i)
-      shard_mailboxes_[i]->set_stats(
-          &p->slot(static_cast<SiteId>(i / std::size_t(shards_per_site()))));
-    wheel_.set_stats(&p->runtime_slot());
-    transport_live_->reactor().set_stats(&p->runtime_slot());
-    transport_live_->set_stats([p](SiteId src) { return &p->slot(src); });
-  }
+  // Telemetry: each site's mailbox thread records into that site's slot;
+  // the shared event-loop and timer-wheel threads share the runtime slot.
+  // Live mode has concurrent writers per slot (site thread + transport
+  // delivery + attendant), so force the atomic-RMW record path even if
+  // the caller built the plane for a single-writer sim run.
+  obs::ObsPlane& p = plane();
+  for (std::size_t i = 0; i < p.stats().slots(); ++i)
+    p.stats().slot(i).set_single_writer(false);
+  for (int s = 0; s < n; ++s)
+    mailboxes_[s]->set_stats(&p.slot(static_cast<SiteId>(s)));
+  // Shard certifier workers record into their site's slot (atomic RMW
+  // path — single-writer was just forced off above).
+  for (std::size_t i = 0; i < shard_mailboxes_.size(); ++i)
+    shard_mailboxes_[i]->set_stats(
+        &p.slot(static_cast<SiteId>(i / std::size_t(shards_per_site()))));
+  wheel_.set_stats(&p.runtime_slot());
+  transport_live_->reactor().set_stats(&p.runtime_slot());
 }
 
 LiveCluster::~LiveCluster() { stop(); }
@@ -242,73 +240,71 @@ void LiveCluster::start() {
     shard_threads_.emplace_back([m = shard_mailboxes_[i].get()] { m->run(); });
   }
 
-  if (auto* p = plane()) {
-    // Stall watchdog: every work queue in the live runtime registers its
-    // progress/pending probe pair. All gauges are relaxed-atomic reads, so
-    // the scanning thread never blocks a site thread. stop() clears the
-    // probes before tearing down what they read.
-    auto& wd = p->watchdog();
-    for (SiteId s = 0; s < static_cast<SiteId>(sites()); ++s) {
-      if (!hosted(s)) continue;  // no thread drains it — nothing to probe
-      Mailbox* m = mailboxes_[s].get();
-      wd.add_probe(
-          "mailbox", s, [m] { return m->executed(); },
-          [m] {
-            // executed first: a task finishing between the reads inflates
-            // pending transiently instead of wrapping it negative.
-            const std::uint64_t e = m->executed();
-            const std::uint64_t q = m->posted();
-            return q > e ? q - e : 0;
-          });
-      core::Replica* r = replicas_[s].get();
-      wd.add_probe(
-          "cert_queue", s, [r] { return r->queue_pops(); },
-          [r] {
-            const std::uint64_t e = r->queue_pops();
-            const std::uint64_t q = r->queue_pushes();
-            return q > e ? q - e : 0;
-          });
-    }
-    if (!shard_mailboxes_.empty()) {
-      // One probe per site aggregating its shard certifier workers: a wedged
-      // shard thread (e.g. a lock-order bug) shows up as rising pending with
-      // flat progress, same as any other stalled queue.
-      const int S = shards_per_site();
-      for (SiteId s = 0; s < static_cast<SiteId>(sites()); ++s) {
-        if (!hosted(s)) continue;
-        wd.add_probe(
-            "shard_cert", s,
-            [this, s, S] {
-              std::uint64_t e = 0;
-              for (int sh = 0; sh < S; ++sh) e += shard_box(s, sh).executed();
-              return e;
-            },
-            [this, s, S] {
-              // executed first (see the mailbox probe above).
-              std::uint64_t e = 0;
-              std::uint64_t q = 0;
-              for (int sh = 0; sh < S; ++sh) e += shard_box(s, sh).executed();
-              for (int sh = 0; sh < S; ++sh) q += shard_box(s, sh).posted();
-              return q > e ? q - e : 0;
-            });
-      }
-    }
+  // Stall watchdog: every work queue in the live runtime registers its
+  // progress/pending probe pair. All gauges are relaxed-atomic reads, so
+  // the scanning thread never blocks a site thread. stop() clears the
+  // probes before tearing down what they read.
+  auto& wd = plane().watchdog();
+  for (SiteId s = 0; s < static_cast<SiteId>(sites()); ++s) {
+    if (!hosted(s)) continue;  // no thread drains it — nothing to probe
+    Mailbox* m = mailboxes_[s].get();
     wd.add_probe(
-        "timer_wheel", kNoSite, [this] { return wheel_.ticks(); },
-        [this] { return wheel_.armed(); });
-    front::Reactor& r = transport_live_->reactor();
+        "mailbox", s, [m] { return m->executed(); },
+        [m] {
+          // executed first: a task finishing between the reads inflates
+          // pending transiently instead of wrapping it negative.
+          const std::uint64_t e = m->executed();
+          const std::uint64_t q = m->posted();
+          return q > e ? q - e : 0;
+        });
+    core::Replica* r = replicas_[s].get();
     wd.add_probe(
-        "event_loop", kNoSite, [&r] { return r.wakeups(); },
-        [&r] { return r.pending_out_bytes(); });
+        "cert_queue", s, [r] { return r->queue_pops(); },
+        [r] {
+          const std::uint64_t e = r->queue_pops();
+          const std::uint64_t q = r->queue_pushes();
+          return q > e ? q - e : 0;
+        });
   }
+  if (!shard_mailboxes_.empty()) {
+    // One probe per site aggregating its shard certifier workers: a wedged
+    // shard thread (e.g. a lock-order bug) shows up as rising pending with
+    // flat progress, same as any other stalled queue.
+    const int S = shards_per_site();
+    for (SiteId s = 0; s < static_cast<SiteId>(sites()); ++s) {
+      if (!hosted(s)) continue;
+      wd.add_probe(
+          "shard_cert", s,
+          [this, s, S] {
+            std::uint64_t e = 0;
+            for (int sh = 0; sh < S; ++sh) e += shard_box(s, sh).executed();
+            return e;
+          },
+          [this, s, S] {
+            // executed first (see the mailbox probe above).
+            std::uint64_t e = 0;
+            std::uint64_t q = 0;
+            for (int sh = 0; sh < S; ++sh) e += shard_box(s, sh).executed();
+            for (int sh = 0; sh < S; ++sh) q += shard_box(s, sh).posted();
+            return q > e ? q - e : 0;
+          });
+    }
+  }
+  wd.add_probe(
+      "timer_wheel", kNoSite, [this] { return wheel_.ticks(); },
+      [this] { return wheel_.armed(); });
+  front::Reactor& r = transport_live_->reactor();
+  wd.add_probe(
+      "event_loop", kNoSite, [&r] { return r.wakeups(); },
+      [&r] { return r.pending_out_bytes(); });
 }
 
 void LiveCluster::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  // The watchdog outlives the cluster (it belongs to the caller's plane);
-  // drop its probes before destroying the state they read.
-  if (auto* p = plane()) p->watchdog().clear_probes();
+  // A supplied plane's watchdog outlives the cluster; drop its probes
+  // before destroying the state they read.
+  plane().watchdog().clear_probes();
   // Order matters: silence the timer and I/O threads first so nothing new
   // lands in a mailbox, then stop the site threads. Base-class teardown
   // (replicas, oracle) happens only after every thread has joined.
@@ -322,6 +318,13 @@ void LiveCluster::stop() {
   for (auto& th : threads_) th.join();
   shard_threads_.clear();
   threads_.clear();
+}
+
+std::uint64_t LiveCluster::site_total(obs::Counter c) const {
+  std::uint64_t n = 0;
+  for (int s = 0; s < plane().config().sites; ++s)
+    n += plane().slot(static_cast<SiteId>(s)).value(c);
+  return n;
 }
 
 void LiveCluster::post(SiteId at, std::function<void()> fn) {
@@ -473,11 +476,9 @@ void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
   codec::Writer w;
   if (from != to) codec::encode_msg(w, m);
   if (trace_ != nullptr) {
-    // Traced as sent, self-sends included (the sim counts them too); a
-    // self-send puts no byte on a socket.
+    // Traced as sent, self-sends included (the sim counts them too).
     const SimTime ts = now();
-    trace_->message(net::msg_class(m), from, to,
-                    from == to ? 0 : w.size() + 4, ts, ts);
+    trace_->message(net::msg_class(m), from, to, ts, ts);
   }
   if (from == to) {
     post(to, [this, from, to, m = std::move(m)] { receive(from, to, m); });

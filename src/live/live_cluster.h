@@ -128,11 +128,13 @@ class LiveCluster : public core::Cluster {
   /// control traffic, not the measured data path.)
   void send_reconfig(SiteId from, SiteId to, core::ReconfigMsg m) override;
 
+  /// Frames / bytes (length prefixes included) put on inter-site links:
+  /// the plane's kMsgsSent / kBytesSent summed over its site slots.
   [[nodiscard]] std::uint64_t live_messages() const {
-    return transport_live_->messages_sent();
+    return site_total(obs::Counter::kMsgsSent);
   }
   [[nodiscard]] std::uint64_t live_bytes() const {
-    return transport_live_->bytes_sent();
+    return site_total(obs::Counter::kBytesSent);
   }
   /// Coalesced frames sent / messages carried inside them (0 with
   /// coalescing off). Site threads write, any thread reads.
@@ -201,6 +203,8 @@ class LiveCluster : public core::Cluster {
   void flush_batch(SiteId from, SiteId to);
   /// Ships every pending batch of `from` (the mailbox idle hook).
   void flush_batches(SiteId from);
+  /// Counter `c` summed over the plane's site slots.
+  [[nodiscard]] std::uint64_t site_total(obs::Counter c) const;
 
   static constexpr std::size_t kTxnCacheCap = 200'000;
 

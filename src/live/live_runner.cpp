@@ -22,13 +22,6 @@ namespace {
 
 using std::chrono::steady_clock;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Everything one site's clients share; touched only on that site's
 /// mailbox thread once the run is going.
 struct SiteCollector {
@@ -126,14 +119,12 @@ void write_text_file(const std::string& path, const std::string& text) {
 }
 
 /// Background observability attendant: scans the stall watchdog a few times
-/// a second, feeds the trace recorder's time-series track (the live
-/// counterpart of harness::run_experiment's TimeSeriesSampler — same sample
-/// names, read from the plane's lock-free counters instead of sim state),
-/// and periodically writes plane snapshots when a prefix is configured.
+/// a second and periodically writes plane snapshots when a prefix is
+/// configured (the snapshots are the live run's time series).
 class PlaneAttendant {
  public:
   PlaneAttendant(LiveCluster& cluster, const LiveRunConfig& cfg)
-      : cl_(cluster), cfg_(cfg), plane_(*cfg.plane) {
+      : cl_(cluster), cfg_(cfg), plane_(cluster.plane()) {
     if (!cfg_.snapshot_prefix.empty()) {
       plane_.set_dump_sink([prefix = cfg_.snapshot_prefix](
                                const char* /*reason*/, const std::string& text,
@@ -157,11 +148,6 @@ class PlaneAttendant {
 
  private:
   void loop() {
-    const SimDuration bucket =
-        cfg_.trace != nullptr ? cfg_.trace->config().timeseries_bucket : 0;
-    SimTime next_sample = bucket;
-    std::uint64_t last_committed = 0;
-    SimTime last_sample_at = 0;
     const auto snap_every =
         std::chrono::duration_cast<steady_clock::duration>(
             std::chrono::duration<double>(
@@ -172,11 +158,6 @@ class PlaneAttendant {
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
       const SimTime now = cl_.now();
       plane_.watchdog().scan(now);
-      if (bucket > 0 && now >= next_sample) {
-        sample(now, now - last_sample_at, last_committed);
-        last_sample_at = now;
-        next_sample = now + bucket;
-      }
       if (!cfg_.snapshot_prefix.empty() && steady_clock::now() >= next_snap) {
         snapshot(now);
         next_snap += snap_every;
@@ -185,26 +166,6 @@ class PlaneAttendant {
     const SimTime now = cl_.now();
     plane_.watchdog().scan(now);
     if (!cfg_.snapshot_prefix.empty()) snapshot(now);
-  }
-
-  void sample(SimTime now, SimDuration elapsed, std::uint64_t& last_committed) {
-    std::uint64_t committed = 0;
-    for (SiteId s = 0; s < static_cast<SiteId>(cfg_.sites); ++s)
-      committed += plane_.slot(s).value(obs::Counter::kTxnCommitted);
-    if (elapsed > 0)
-      cfg_.trace->sample("throughput_tps", kNoSite, now,
-                         static_cast<double>(committed - last_committed) /
-                             to_seconds(elapsed));
-    last_committed = committed;
-    for (SiteId s = 0; s < static_cast<SiteId>(cfg_.sites); ++s) {
-      // Lock-free push/pop mirrors, not Replica::queue_length(): the queue
-      // itself belongs to the site thread.
-      const auto& r = cl_.replica(s);
-      const std::uint64_t pushes = r.queue_pushes();
-      const std::uint64_t pops = r.queue_pops();
-      cfg_.trace->sample("cert_queue", s, now,
-                         static_cast<double>(pushes > pops ? pushes - pops : 0));
-    }
   }
 
   void snapshot(SimTime now) {
@@ -249,6 +210,7 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
   lc.delay_scale = cfg.delay_scale;
   lc.coalesce = cfg.coalesce;
   LiveCluster cluster(lc, protocols::by_name(cfg.protocol));
+  obs::ObsPlane& plane = cluster.plane();
 
   std::vector<SiteCollector> col(static_cast<std::size_t>(cfg.sites));
   checker::History history;
@@ -261,10 +223,7 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
   std::atomic<int> inflight{0};
 
   cluster.start();
-
-  std::unique_ptr<PlaneAttendant> attendant;
-  if (cfg.plane != nullptr)
-    attendant = std::make_unique<PlaneAttendant>(cluster, cfg);
+  PlaneAttendant attendant(cluster, cfg);
 
   std::vector<std::shared_ptr<ClosedLoop>> flows;
   std::vector<std::shared_ptr<OpenLoop>> sources;
@@ -311,7 +270,7 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const int hung = inflight.load(std::memory_order_acquire);
-  if (attendant) attendant->finish();  // final scan while probes are live
+  attendant.finish();  // final scan while probes are live
   cluster.stop();
 
   LiveRunResult res;
@@ -338,13 +297,11 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
     res.checker_detail = cr.detail;
     // A failed criterion is exactly what the flight recorder exists for:
     // dump the retained window with the failure as the reason.
-    if (!cr.ok && cfg.plane != nullptr) cfg.plane->dump_flight("checker");
+    if (!cr.ok) plane.dump_flight("checker");
   }
-  if (cfg.plane != nullptr) {
-    res.watchdog_trips = cfg.plane->watchdog().trips();
-    res.invariant_violations = cfg.plane->invariants().violations();
-    res.flight_dumps = cfg.plane->dumps();
-  }
+  res.watchdog_trips = plane.watchdog().trips();
+  res.invariant_violations = plane.invariants().violations();
+  res.flight_dumps = plane.dumps();
   return res;
 }
 

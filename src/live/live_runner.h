@@ -57,10 +57,11 @@ struct LiveRunConfig {
   double drain_secs = 2.0;
   obs::TraceRecorder* trace = nullptr;
   /// Production observability plane (telemetry, flight recorder, watchdog,
-  /// invariant monitor). When set, a background thread scans the watchdog
-  /// and — if `snapshot_prefix` is non-empty — periodically writes
-  /// `<prefix>.json` / `<prefix>.prom` snapshots and flight dumps to
-  /// `<prefix>.flight.txt` / `<prefix>.flight.trace.json`. Not owned.
+  /// invariant monitor); nullptr = the cluster's own. Not owned. A
+  /// background thread always scans the watchdog and — if `snapshot_prefix`
+  /// is non-empty — periodically writes `<prefix>.json` / `<prefix>.prom`
+  /// snapshots and flight dumps to `<prefix>.flight.txt` /
+  /// `<prefix>.flight.trace.json`.
   obs::ObsPlane* plane = nullptr;
   double snapshot_every_secs = 1.0;
   std::string snapshot_prefix;
@@ -84,8 +85,8 @@ struct LiveRunResult {
   /// Client flows still in flight when the drain grace period expired
   /// (0 on a healthy run).
   int hung_clients = 0;
-  /// Observability-plane verdicts (0 unless cfg.plane was attached; all
-  /// three should be 0 on a healthy run).
+  /// Observability-plane verdicts, read from the run's plane (all three
+  /// are 0 on a healthy run).
   std::uint64_t watchdog_trips = 0;
   std::uint64_t invariant_violations = 0;
   std::uint64_t flight_dumps = 0;

@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "net/codec.h"
-#include "obs/stats.h"
+#include "obs/plane.h"
 
 namespace gdur::live {
 
@@ -129,9 +129,11 @@ void LiveTransport::install_frame_handler() {
   });
 }
 
-LiveTransport::LiveTransport(int sites, TimerWheel& wheel, Deliver deliver)
+LiveTransport::LiveTransport(int sites, TimerWheel& wheel, obs::ObsPlane& plane,
+                             Deliver deliver)
     : sites_(sites),
       wheel_(wheel),
+      plane_(plane),
       deliver_(std::move(deliver)),
       out_conn_(static_cast<std::size_t>(sites) * sites, -1),
       delay_(static_cast<std::size_t>(sites) * sites,
@@ -202,10 +204,12 @@ LiveTransport::LiveTransport(int sites, TimerWheel& wheel, Deliver deliver)
 
 LiveTransport::LiveTransport(int sites, SiteId self,
                              const std::vector<SiteEndpoint>& peers,
-                             TimerWheel& wheel, Deliver deliver,
+                             TimerWheel& wheel, obs::ObsPlane& plane,
+                             Deliver deliver,
                              std::chrono::seconds connect_deadline)
     : sites_(sites),
       wheel_(wheel),
+      plane_(plane),
       deliver_(std::move(deliver)),
       out_conn_(static_cast<std::size_t>(sites) * sites, -1),
       delay_(static_cast<std::size_t>(sites) * sites,
@@ -289,15 +293,10 @@ void LiveTransport::send(SiteId src, SiteId dst,
   const int conn =
       out_conn_[static_cast<std::size_t>(link_index(src, dst))];
   if (conn < 0) return;  // not our link (external mesh: src must be self)
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(body.size() + 4, std::memory_order_relaxed);
-  if (slot_of_) {
-    if (auto* slot = slot_of_(src)) {
-      slot->record(obs::Counter::kMsgsSent);
-      slot->record(obs::Counter::kBytesSent, body.size() + 4);
-      slot->record_value(obs::Hist::kMsgBytes, body.size() + 4);
-    }
-  }
+  auto& slot = plane_.slot(src);
+  slot.record(obs::Counter::kMsgsSent);
+  slot.record(obs::Counter::kBytesSent, body.size() + 4);
+  slot.record_value(obs::Hist::kMsgBytes, body.size() + 4);
   reactor_.send_frame(conn, body);
 }
 

@@ -24,7 +24,6 @@
 // ordering preserves the link FIFO contract.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -34,6 +33,10 @@
 #include "common/types.h"
 #include "front/reactor.h"
 #include "live/timer_wheel.h"
+
+namespace gdur::obs {
+class ObsPlane;
+}
 
 namespace gdur::live {
 
@@ -54,15 +57,17 @@ class LiveTransport {
   /// per site on 127.0.0.1:0, then every ordered pair connects and
   /// identifies itself with a codec::ControlMsg hello. Throws
   /// std::runtime_error on failure. `wheel` must be started before start()
-  /// and outlive this object.
-  LiveTransport(int sites, TimerWheel& wheel, Deliver deliver);
+  /// and outlive this object; so must `plane`, whose site slots count every
+  /// frame sent (kMsgsSent, kBytesSent, kMsgBytes).
+  LiveTransport(int sites, TimerWheel& wheel, obs::ObsPlane& plane,
+                Deliver deliver);
 
   /// External (multi-process) mesh: this process is site `self`. Binds
   /// `peers[self]`, dials every other peer with bounded retries (they may
   /// not have booted yet), and accepts their inbound links. Blocks until
   /// the mesh is complete or the deadline passes; throws on failure.
   LiveTransport(int sites, SiteId self, const std::vector<SiteEndpoint>& peers,
-                TimerWheel& wheel, Deliver deliver,
+                TimerWheel& wheel, obs::ObsPlane& plane, Deliver deliver,
                 std::chrono::seconds connect_deadline = std::chrono::seconds(30));
 
   ~LiveTransport() { stop(); }
@@ -73,23 +78,15 @@ class LiveTransport {
   void start() { reactor_.start(); }
   void stop() { reactor_.stop(); }
 
-  /// Queues `body` (type tag + encoded message) on the (src, dst) link.
+  /// Queues `body` (type tag + encoded message) on the (src, dst) link and
+  /// counts it, length prefix included, in `src`'s plane slot.
   /// Thread-safe; src != dst (self-sends bypass the transport). In the
   /// external mesh src must be `self`.
   void send(SiteId src, SiteId dst, const std::vector<std::uint8_t>& body);
 
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
-
   /// The byte-moving reactor, exposed so the observability plane can attach
   /// its stats slot and stall-watchdog probes.
   [[nodiscard]] front::Reactor& reactor() { return reactor_; }
-
-  /// Per-site stats slots: send() records kMsgsSent/kBytesSent/kMsgBytes
-  /// into `slot_of(src)`. Set before start(); not owned.
-  void set_stats(std::function<obs::StatsSlot*(SiteId)> slot_of) {
-    slot_of_ = std::move(slot_of);
-  }
 
  private:
   [[nodiscard]] int link_index(SiteId src, SiteId dst) const {
@@ -100,14 +97,12 @@ class LiveTransport {
 
   int sites_;
   TimerWheel& wheel_;
+  obs::ObsPlane& plane_;
   Deliver deliver_;
   front::Reactor reactor_;
   std::vector<int> out_conn_;                   // link index -> conn id
   std::vector<std::pair<SiteId, SiteId>> in_link_;  // conn id -> (src,dst)
   std::vector<std::chrono::nanoseconds> delay_;  // link index -> delay
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::function<obs::StatsSlot*(SiteId)> slot_of_;  // set before start()
 };
 
 }  // namespace gdur::live

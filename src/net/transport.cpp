@@ -9,15 +9,16 @@
 namespace gdur::net {
 
 Transport::Transport(sim::Simulator& simulator, Topology topology,
-                     sim::CostModel cost, int cores_per_site,
-                     std::uint64_t jitter_seed)
+                     obs::ObsPlane& plane, sim::CostModel cost,
+                     int cores_per_site, std::uint64_t jitter_seed)
     : sim_(simulator),
       topo_(std::move(topology)),
       cost_(cost),
       link_clock_(static_cast<std::size_t>(topo_.sites()) * topo_.sites(), 0),
       recv_clock_(static_cast<std::size_t>(topo_.sites()) * topo_.sites(), 0),
       jitter_rng_(jitter_seed),
-      retransmit_rng_(mix64(jitter_seed ^ 0x7265747261'6e73ull)) {
+      retransmit_rng_(mix64(jitter_seed ^ 0x7265747261'6e73ull)),
+      plane_(plane) {
   cpus_.reserve(static_cast<std::size_t>(topo_.sites()));
   for (int s = 0; s < topo_.sites(); ++s)
     cpus_.push_back(std::make_unique<sim::CpuResource>(sim_, cores_per_site));
@@ -52,10 +53,8 @@ SimTime Transport::resolve_delivery(SiteId src, SiteId dst,
     ++fstats_.dropped;
     if (trace_ != nullptr)
       trace_->fault(obs::FaultKind::kDrop, src, dst, attempt);
-    if (plane_ != nullptr) {
-      plane_->slot(src).record(obs::Counter::kMsgsDropped);
-      plane_->ring(src).append("msg_drop", attempt, src, dst);
-    }
+    plane_.slot(src).record(obs::Counter::kMsgsDropped);
+    plane_.ring(src).append("msg_drop", attempt, src, dst);
     // The ack timer fires `rto` (±rc.jitter, to desynchronize retry storms)
     // after the attempt; retransmit then. The backoff stays capped at
     // max_rto so a sender keeps probing a long partition instead of backing
@@ -69,17 +68,14 @@ SimTime Transport::resolve_delivery(SiteId src, SiteId dst,
       ++fstats_.expired;
       if (trace_ != nullptr)
         trace_->fault(obs::FaultKind::kExpire, src, dst, attempt);
-      if (plane_ != nullptr) {
-        plane_->slot(src).record(obs::Counter::kMsgsExpired);
-        plane_->ring(src).append("msg_expire", attempt, src, dst);
-      }
+      plane_.slot(src).record(obs::Counter::kMsgsExpired);
+      plane_.ring(src).append("msg_expire", attempt, src, dst);
       return sim::kNever;
     }
     ++fstats_.retransmissions;
     if (trace_ != nullptr)
       trace_->fault(obs::FaultKind::kRetransmit, src, dst, attempt);
-    if (plane_ != nullptr)
-      plane_->slot(src).record(obs::Counter::kRetransmits);
+    plane_.slot(src).record(obs::Counter::kRetransmits);
     cpu(src).charge_after(attempt, cost_.msg_send);
   }
 }
@@ -89,12 +85,10 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
   if (fault_ != nullptr && cpu(src).down_at(sim_.now())) return;  // dead site
   ++messages_;
   bytes_ += bytes;
-  if (plane_ != nullptr) {
-    auto& slot = plane_->slot(src);
-    slot.record(obs::Counter::kMsgsSent);
-    slot.record(obs::Counter::kBytesSent, bytes);
-    slot.record_value(obs::Hist::kMsgBytes, bytes);
-  }
+  auto& slot = plane_.slot(src);
+  slot.record(obs::Counter::kMsgsSent);
+  slot.record(obs::Counter::kBytesSent, bytes);
+  slot.record_value(obs::Hist::kMsgBytes, bytes);
   const SimDuration send_cost = cost_.msg_send + cost_.marshal(bytes);
   const SimDuration recv_cost = cost_.msg_recv + cost_.unmarshal(bytes);
   // The departure instant is known synchronously (deterministic CPU model),
@@ -105,7 +99,7 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
   const SimTime departure = cpu(src).charge(send_cost);
   if (src == dst) {
     if (trace_ != nullptr)
-      trace_->message(cls, src, dst, bytes, departure, departure);
+      trace_->message(cls, src, dst, departure, departure);
     sim_.at(departure, [this, dst, recv_cost, handler = std::move(handler)]() mutable {
       cpu(dst).submit(recv_cost, std::move(handler));
     });
@@ -120,7 +114,7 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
   const SimTime arrival = std::max(reach, link_clock_[idx]);
   link_clock_[idx] = arrival;
   if (trace_ != nullptr)
-    trace_->message(cls, src, dst, bytes, departure, arrival);
+    trace_->message(cls, src, dst, departure, arrival);
   sim_.at(arrival, [this, idx, dst, recv_cost,
                     handler = std::move(handler)]() mutable {
     // One connection is drained by one receiver thread: handlers for the
@@ -133,10 +127,8 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
       ++fstats_.expired;
       if (trace_ != nullptr)
         trace_->fault(obs::FaultKind::kExpire, dst, kNoSite, sim_.now());
-      if (plane_ != nullptr) {
-        plane_->slot(dst).record(obs::Counter::kMsgsExpired);
-        plane_->ring(dst).append("msg_lost_in_crash", sim_.now(), dst);
-      }
+      plane_.slot(dst).record(obs::Counter::kMsgsExpired);
+      plane_.ring(dst).append("msg_lost_in_crash", sim_.now(), dst);
       return;
     }
     const SimTime done = c.charge_after(recv_clock_[idx], recv_cost);
@@ -158,12 +150,10 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
 void Transport::client_send(SiteId dst, std::uint64_t bytes, Handler handler) {
   ++messages_;
   bytes_ += bytes;
-  if (plane_ != nullptr) {
-    plane_->slot(dst).record(obs::Counter::kMsgsSent);
-    plane_->slot(dst).record(obs::Counter::kBytesSent, bytes);
-  }
+  plane_.slot(dst).record(obs::Counter::kMsgsSent);
+  plane_.slot(dst).record(obs::Counter::kBytesSent, bytes);
   if (trace_ != nullptr)
-    trace_->message(obs::MsgClass::kClientReq, kNoSite, dst, bytes, sim_.now(),
+    trace_->message(obs::MsgClass::kClientReq, kNoSite, dst, sim_.now(),
                     sim_.now() + topo_.client_latency());
   const SimDuration recv_cost = cost_.msg_recv + cost_.unmarshal(bytes);
   sim_.after(topo_.client_latency(),
@@ -176,12 +166,10 @@ void Transport::send_to_client(SiteId src, std::uint64_t bytes,
                                Handler handler) {
   ++messages_;
   bytes_ += bytes;
-  if (plane_ != nullptr) {
-    plane_->slot(src).record(obs::Counter::kMsgsSent);
-    plane_->slot(src).record(obs::Counter::kBytesSent, bytes);
-  }
+  plane_.slot(src).record(obs::Counter::kMsgsSent);
+  plane_.slot(src).record(obs::Counter::kBytesSent, bytes);
   if (trace_ != nullptr)
-    trace_->message(obs::MsgClass::kClientResp, src, kNoSite, bytes, sim_.now(),
+    trace_->message(obs::MsgClass::kClientResp, src, kNoSite, sim_.now(),
                     sim_.now() + topo_.client_latency());
   const SimDuration send_cost = cost_.msg_send + cost_.marshal(bytes);
   cpu(src).submit(send_cost, [this, handler = std::move(handler)]() mutable {

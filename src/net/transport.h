@@ -57,7 +57,9 @@ class Transport {
  public:
   using Handler = std::function<void()>;
 
-  Transport(sim::Simulator& simulator, Topology topology,
+  /// `plane` receives the per-site message and fault counters; not owned,
+  /// must outlive the transport.
+  Transport(sim::Simulator& simulator, Topology topology, obs::ObsPlane& plane,
             sim::CostModel cost = {}, int cores_per_site = 4,
             std::uint64_t jitter_seed = 11);
 
@@ -114,12 +116,6 @@ class Transport {
   void set_trace(obs::TraceRecorder* tr) { trace_ = tr; }
   [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
 
-  /// Installs the production observability plane (obs/plane.h); nullptr
-  /// disables. Not owned. Same contract as set_trace: every hook is a null
-  /// check, so a plane-free run is byte-identical.
-  void set_plane(obs::ObsPlane* p) { plane_ = p; }
-  [[nodiscard]] obs::ObsPlane* plane() const { return plane_; }
-
  private:
   [[nodiscard]] SimDuration link_delay(SiteId src, SiteId dst,
                                        std::uint64_t bytes);
@@ -148,7 +144,7 @@ class Transport {
   sim::FaultInjector* fault_ = nullptr;
   FaultStats fstats_;
   obs::TraceRecorder* trace_ = nullptr;
-  obs::ObsPlane* plane_ = nullptr;
+  obs::ObsPlane& plane_;
 };
 
 }  // namespace gdur::net

@@ -9,9 +9,11 @@
 // and wires their cross-talk: an invariant violation or a watchdog trip
 // bumps the corresponding counter, leaves a flight-recorder event, and
 // triggers an automatic flight dump through the configured sink (a file
-// writer in live mode, a capture buffer in tests). Attach it via
-// ClusterConfig::plane; every engine hook is a null-pointer check, so a
-// plane-free run is byte-identical to a build without the plane.
+// writer in live mode, a capture buffer in tests). Every core::Cluster
+// records into one: the plane passed as ClusterConfig::plane, or else one
+// the cluster builds and owns. Hooks only read simulator state, so an
+// observed sim run is byte-identical to the same run recorded before the
+// plane existed (the determinism and timeline goldens pin this).
 //
 // Slot layout: slot s < sites is site s; slot sites+0 is the shared live
 // runtime (event loop, timer wheel); ring r < sites is site r's flight

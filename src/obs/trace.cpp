@@ -44,9 +44,6 @@ void TraceRecorder::push(const TraceEvent& e) {
 void TraceRecorder::reset_counters() {
   MutexLock lock(&mu_);
   msg_count_.fill(0);
-  msg_bytes_.fill(0);
-  fault_count_.fill(0);
-  finished_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -205,7 +202,6 @@ void TraceRecorder::flush(const TxnId& id, Live& lv, SiteId coord, SimTime now,
   }
   r.phase[idx(Phase::kApply)] = lv.apply_time;
   if (lv.decide != 0) r.phase[idx(Phase::kClientResponse)] = now - lv.decide;
-  ++finished_;
   if (sink_) sink_(r);
   if (cfg_.spans) {
     reports_.push_back(r);
@@ -221,53 +217,31 @@ void TraceRecorder::flush(const TxnId& id, Live& lv, SiteId coord, SimTime now,
 }
 
 // ---------------------------------------------------------------------------
-// Messages, faults, counters.
+// Messages and faults.
 // ---------------------------------------------------------------------------
 
 void TraceRecorder::message(MsgClass cls, SiteId src, SiteId dst,
-                            std::uint64_t bytes, SimTime depart,
-                            SimTime arrive) {
+                            SimTime depart, SimTime arrive) {
   MutexLock lock(&mu_);
   ++msg_count_[static_cast<std::size_t>(cls)];
-  msg_bytes_[static_cast<std::size_t>(cls)] += bytes;
   push(TraceEvent{.kind = TraceEvent::Kind::kSpan,
                   .name = msg_class_name(cls),
                   .cat = "msg",
                   .site = src,
                   .track = 64 + dst,
                   .ts = depart,
-                  .dur = arrive - depart,
-                  .value = static_cast<double>(bytes)});
+                  .dur = arrive - depart});
 }
 
 void TraceRecorder::fault(FaultKind kind, SiteId site, SiteId peer,
                           SimTime now) {
   MutexLock lock(&mu_);
-  ++fault_count_[static_cast<std::size_t>(kind)];
   push(TraceEvent{.kind = TraceEvent::Kind::kInstant,
                   .name = fault_kind_name(kind),
                   .cat = "fault",
                   .site = site,
                   .track = 96 + (peer == kNoSite ? 0 : peer),
                   .ts = now});
-}
-
-void TraceRecorder::sample(const char* name, SiteId site, SimTime now,
-                           double value) {
-  MutexLock lock(&mu_);
-  // Counter samples bypass the spans switch: the time series is useful on
-  // big runs where span recording is off. The cap still applies.
-  if (events_.size() >= cfg_.max_events) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(TraceEvent{.kind = TraceEvent::Kind::kCounter,
-                               .name = name,
-                               .cat = "ts",
-                               .site = site,
-                               .track = 0,
-                               .ts = now,
-                               .value = value});
 }
 
 // ---------------------------------------------------------------------------
@@ -307,17 +281,7 @@ std::string TraceRecorder::chrome_trace_json() const {
     out += "\",\"cat\":\"";
     append_json_escaped(out, e.cat);
     out += "\",\"ph\":\"";
-    switch (e.kind) {
-      case TraceEvent::Kind::kSpan:
-        out += 'X';
-        break;
-      case TraceEvent::Kind::kInstant:
-        out += 'i';
-        break;
-      case TraceEvent::Kind::kCounter:
-        out += 'C';
-        break;
-    }
+    out += e.kind == TraceEvent::Kind::kSpan ? 'X' : 'i';
     out += "\",\"ts\":";
     append_us(out, e.ts);
     if (e.kind == TraceEvent::Kind::kSpan) {
@@ -328,10 +292,7 @@ std::string TraceRecorder::chrome_trace_json() const {
                   e.site == kNoSite ? 9999u : e.site, e.track);
     out += buf;
     if (e.kind == TraceEvent::Kind::kInstant) out += ",\"s\":\"t\"";
-    if (e.kind == TraceEvent::Kind::kCounter) {
-      std::snprintf(buf, sizeof buf, ",\"args\":{\"value\":%.6f}", e.value);
-      out += buf;
-    } else if (e.txn.valid()) {
+    if (e.txn.valid()) {
       out += ",\"args\":{\"txn\":\"";
       out += e.txn.str();
       out += "\"}";

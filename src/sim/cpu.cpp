@@ -17,10 +17,8 @@ SimTime CpuResource::charge_after(SimTime not_before, SimDuration service) {
 
 void CpuResource::submit(SimDuration service, std::function<void()> done) {
   if (down_at(sim_.now())) return;  // a crashed site accepts no work
-  ++inflight_;
   sim_.at(charge(service),
           [this, e = epoch_, done = std::move(done)]() mutable {
-            --inflight_;
             if (e == epoch_) done();  // else: lost in a crash
           });
 }

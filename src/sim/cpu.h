@@ -38,12 +38,6 @@ class CpuResource {
   [[nodiscard]] SimDuration busy_time() const { return busy_; }
   [[nodiscard]] int cores() const { return static_cast<int>(core_free_.size()); }
 
-  /// Jobs submitted via submit() whose completion has not run yet — the
-  /// instantaneous CPU backlog, sampled by the observability time series to
-  /// watch saturation knees develop. Pure bookkeeping: never affects the
-  /// schedule.
-  [[nodiscard]] std::uint64_t inflight() const { return inflight_; }
-
   /// Utilization in [0,1] over the window [from, to].
   [[nodiscard]] double utilization(SimTime from, SimTime to) const;
 
@@ -71,7 +65,6 @@ class CpuResource {
   std::vector<SimTime> core_free_;  // next instant each core is idle
   SimDuration busy_ = 0;
   std::uint64_t epoch_ = 0;
-  std::uint64_t inflight_ = 0;
   SimTime down_until_ = 0;
 };
 

@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "net/topology.h"
 #include "net/transport.h"
+#include "obs/plane.h"
 #include "sim/fault.h"
 
 namespace gdur::comm {
@@ -26,7 +27,8 @@ using net::McastMsg;
 /// handed, on arrival, to the primitive the port serves.
 class TransportPort final : public Port {
  public:
-  explicit TransportPort(net::Transport& net) : net_(net) {}
+  TransportPort(net::Transport& net, obs::ObsPlane& plane)
+      : net_(net), plane_(plane) {}
 
   template <class Prim>
   void serve(Prim& p) {
@@ -57,19 +59,22 @@ class TransportPort final : public Port {
   [[nodiscard]] bool recovery_enabled() const override {
     return net_.fault_injector() != nullptr;
   }
-  [[nodiscard]] obs::ObsPlane* plane() const override { return nullptr; }
+  [[nodiscard]] obs::ObsPlane& plane() const override { return plane_; }
   [[nodiscard]] SimTime now() const override { return net_.simulator().now(); }
 
  private:
   net::Transport& net_;
+  obs::ObsPlane& plane_;
   std::function<void(SiteId, SiteId, const net::Msg&)> receive_;
 };
 
 struct Fixture {
   explicit Fixture(int n)
       : sites(n),
-        net(sim, net::Topology::geo(n, milliseconds(10), milliseconds(20), 5)),
-        port(net) {}
+        plane(obs::ObsPlaneConfig{.sites = n}),
+        net(sim, net::Topology::geo(n, milliseconds(10), milliseconds(20), 5),
+            plane),
+        port(net, plane) {}
 
   McastMsg msg(std::uint64_t id, SiteId origin, std::vector<SiteId> dests,
                std::uint64_t bytes = 100) {
@@ -78,6 +83,7 @@ struct Fixture {
   }
 
   int sites;
+  obs::ObsPlane plane;
   sim::Simulator sim;
   net::Transport net;
   TransportPort port;

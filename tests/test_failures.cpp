@@ -147,7 +147,8 @@ TEST(Retransmit, BackoffIsCappedUnderALongBlackout) {
   // the healed link late; capped, it keeps probing roughly every 40 ms and
   // delivers within about one RTO of the heal.
   sim::Simulator sim;
-  net::Transport net(sim, net::Topology::uniform(2, milliseconds(1)));
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 2});
+  net::Transport net(sim, net::Topology::uniform(2, milliseconds(1)), plane);
   sim::FaultPlan plan;
   plan.blackout(0, 1, 0, seconds(2));
   plan.retransmit.initial_rto = milliseconds(10);
@@ -172,7 +173,8 @@ TEST(Retransmit, JitterIsDeterministicPerSeedAndDecorrelatesSchedules) {
   // Link jitter is zeroed so only the retransmit jitter can differ.
   const auto delivery_time = [](std::uint64_t jitter_seed) {
     sim::Simulator sim;
-    net::Transport net(sim, net::Topology::uniform(2, milliseconds(1)),
+    obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 2});
+    net::Transport net(sim, net::Topology::uniform(2, milliseconds(1)), plane,
                        sim::CostModel{}, 4, jitter_seed);
     net.set_jitter(0.0);
     sim::FaultPlan plan;

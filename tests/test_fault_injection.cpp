@@ -93,13 +93,15 @@ TEST(FaultInjector, ChaosPlanIsAPureFunctionOfItsSeed) {
 
 class FaultyTransport : public ::testing::Test {
  protected:
-  FaultyTransport() : net_(sim_, net::Topology::uniform(4, milliseconds(10))) {
+  FaultyTransport()
+      : net_(sim_, net::Topology::uniform(4, milliseconds(10)), plane_) {
     net_.set_jitter(0.0);
   }
   void install(const sim::FaultPlan& plan, std::uint64_t seed = 7) {
     fi_ = std::make_unique<sim::FaultInjector>(plan, seed);
     net_.set_fault_injector(fi_.get());
   }
+  obs::ObsPlane plane_{obs::ObsPlaneConfig{.sites = 4}};
   sim::Simulator sim_;
   net::Transport net_;
   std::unique_ptr<sim::FaultInjector> fi_;

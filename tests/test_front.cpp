@@ -53,7 +53,9 @@ int dial(std::uint16_t port) {
 bool write_all(int fd, const void* buf, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(buf);
   while (n > 0) {
-    const auto k = ::write(fd, p, n);
+    // MSG_NOSIGNAL: a server that cut this session off must fail the write,
+    // not kill the test with SIGPIPE.
+    const auto k = ::send(fd, p, n, MSG_NOSIGNAL);
     if (k <= 0) return false;
     p += k;
     n -= static_cast<std::size_t>(k);

@@ -135,10 +135,12 @@ struct TransportRig {
   };
 
   TimerWheel wheel;
+  obs::ObsPlane plane;
   std::vector<std::vector<Rx>> rx;  // [src][dst]
   std::unique_ptr<LiveTransport> tp;
 
-  explicit TransportRig(int sites) {
+  explicit TransportRig(int sites)
+      : plane(obs::ObsPlaneConfig{.sites = sites}) {
     rx.resize(static_cast<std::size_t>(sites));
     for (auto& row : rx) {
       // Rx holds a mutex; construct in place at full size.
@@ -147,7 +149,7 @@ struct TransportRig {
     }
     wheel.start();
     tp = std::make_unique<LiveTransport>(
-        sites, wheel,
+        sites, wheel, plane,
         [this](SiteId src, SiteId dst, std::vector<std::uint8_t> frame) {
           auto& slot = rx[src][dst];
           std::lock_guard lk(slot.mu);
@@ -197,7 +199,10 @@ TEST(LiveTransport, ExactlyOnceFifoPerLink) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(2ms);
   ASSERT_EQ(rig.total_received(), expect) << "lost or duplicated frames";
-  EXPECT_EQ(rig.tp->messages_sent(), expect);
+  std::uint64_t counted = 0;
+  for (SiteId s = 0; s < kSites; ++s)
+    counted += rig.plane.slot(s).value(obs::Counter::kMsgsSent);
+  EXPECT_EQ(counted, expect);
   for (SiteId s = 0; s < kSites; ++s)
     for (SiteId d = 0; d < kSites; ++d) {
       if (d == s) continue;
@@ -287,11 +292,9 @@ struct TxnChain : std::enable_shared_from_this<TxnChain> {
 // Paxos Commit's 2a proposals included, which live mode used to skip.
 TEST(LiveCluster, VoteObserverSeesEveryPaxos2aProposal) {
   constexpr int kSites = 3;
-  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = kSites});
   LiveConfig lc;
   lc.base.sites = kSites;
   lc.base.objects_per_site = 1024;
-  lc.base.plane = &plane;
   LiveCluster cl(lc, protocols::by_name("P-Store+Paxos"));
   std::atomic<std::uint64_t> observed{0};
   cl.set_vote_observer([&observed](const core::Cluster::VoteEvent&) {
@@ -306,10 +309,10 @@ TEST(LiveCluster, VoteObserverSeesEveryPaxos2aProposal) {
   }
   // Every acceptor counts the 2a proposals it takes in; the last ones may
   // still be landing after the last decision.
-  const auto accepted = [&plane] {
+  const auto accepted = [&cl] {
     std::uint64_t n = 0;
     for (SiteId s = 0; s < kSites; ++s)
-      n += plane.slot(s).value(obs::Counter::kVotesRecv);
+      n += cl.plane().slot(s).value(obs::Counter::kVotesRecv);
     return n;
   };
   const auto deadline = std::chrono::steady_clock::now() + 10s;
@@ -320,6 +323,39 @@ TEST(LiveCluster, VoteObserverSeesEveryPaxos2aProposal) {
   EXPECT_EQ(done.load(), kSites) << "transactions did not finish";
   EXPECT_GT(accepted(), 0u);
   EXPECT_EQ(observed.load(), accepted());
+}
+
+// A cluster built without a plane owns one, and its live frame and byte
+// tallies are exactly that plane's per-site send counters.
+TEST(LiveCluster, OwnedPlaneCountsEveryFrame) {
+  constexpr int kSites = 3;
+  LiveConfig lc;
+  lc.base.sites = kSites;
+  lc.base.objects_per_site = 1024;
+  LiveCluster cl(lc, protocols::by_name("P-Store"));
+  cl.start();
+  std::atomic<int> done{0};
+  std::vector<std::shared_ptr<TxnChain>> chains;
+  for (SiteId s = 0; s < kSites; ++s) {
+    chains.push_back(std::make_shared<TxnChain>(cl, s, 40, done));
+    cl.post(s, [c = chains.back()] { c->next(); });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (done.load() < kSites && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  cl.stop();
+  ASSERT_EQ(done.load(), kSites) << "transactions did not finish";
+
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  for (SiteId s = 0; s < kSites; ++s) {
+    frames += cl.plane().slot(s).value(obs::Counter::kMsgsSent);
+    bytes += cl.plane().slot(s).value(obs::Counter::kBytesSent);
+  }
+  EXPECT_GT(cl.live_messages(), 0u);
+  EXPECT_GT(cl.live_bytes(), 0u);
+  EXPECT_EQ(cl.live_messages(), frames);
+  EXPECT_EQ(cl.live_bytes(), bytes);
 }
 
 }  // namespace

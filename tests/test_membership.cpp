@@ -279,9 +279,7 @@ TEST(Reconfig, VotesStayConsistentAcrossLeaderRotation) {
   // voter per (partition, epoch) — the online invariant monitor's
   // vote-consistency and decision-consistency checks ride the whole run,
   // and the offline checker proves the history afterwards.
-  obs::ObsPlane plane(obs::ObsPlaneConfig{5});
   auto cfg = reconfig_config();
-  cfg.plane = &plane;
   cfg.reconfig.start_with({0, 1, 2, 3})
       .join(4, milliseconds(600))
       .retire(0, milliseconds(1400));
@@ -289,7 +287,7 @@ TEST(Reconfig, VotesStayConsistentAcrossLeaderRotation) {
 
   ASSERT_EQ(rig.cluster.membership().latest_epoch(), 2u);
   EXPECT_GT(rig.metrics.committed(), 100u);
-  EXPECT_EQ(plane.invariants().violations(), 0u)
+  EXPECT_EQ(rig.cluster.plane().invariants().violations(), 0u)
       << "invariant monitor tripped across the rotation";
   const auto r = rig.history.check_criterion("SER");
   EXPECT_TRUE(r.ok) << r.detail;

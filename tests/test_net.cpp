@@ -6,6 +6,7 @@
 #include "net/topology.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/plane.h"
 
 namespace gdur::net {
 namespace {
@@ -43,9 +44,10 @@ TEST(Topology, UniformSetsOneLatency) {
 class TransportTest : public ::testing::Test {
  protected:
   TransportTest()
-      : net_(sim_, Topology::uniform(4, milliseconds(10))) {
+      : net_(sim_, Topology::uniform(4, milliseconds(10)), plane_) {
     net_.set_jitter(0.0);
   }
+  obs::ObsPlane plane_{obs::ObsPlaneConfig{.sites = 4}};
   sim::Simulator sim_;
   Transport net_;
 };
@@ -132,7 +134,8 @@ TEST_F(TransportTest, SendChargesSenderCpu) {
 
 TEST(TransportJitter, JitterPerturbsDelivery) {
   sim::Simulator sim;
-  Transport net(sim, Topology::uniform(2, milliseconds(10)));
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 2});
+  Transport net(sim, Topology::uniform(2, milliseconds(10)), plane);
   net.set_jitter(0.05);
   std::vector<SimDuration> one_way;
   // Space messages far apart so neither link FIFO nor receive chaining

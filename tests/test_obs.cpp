@@ -1,7 +1,6 @@
 // Tests for the observability layer (src/obs): determinism of the trace
 // export, zero overhead when disabled, phase breakdowns, the abort-reason
-// taxonomy, message-class counters, time-series sampling, and the golden
-// text timeline.
+// taxonomy, message-class counters, and the golden text timeline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -43,17 +42,13 @@ TEST(Trace, TwoIdenticalRunsProduceByteIdenticalTraces) {
 }
 
 TEST(Trace, AttachingARecorderDoesNotChangeTheRun) {
-  // The zero-overhead rule, observed end-to-end: a traced run (spans and
-  // the time-series sampler both on) must report exactly the same results
-  // as a trace-free run. Only events_per_second may differ (the sampler
-  // schedules its own read-only simulator events).
+  // The zero-overhead rule, observed end-to-end: a traced run must report
+  // exactly the same results as a trace-free run.
   auto cfg = small_config();
   cfg.cluster.trace = nullptr;
   const auto off = harness::run_experiment(protocols::gmu(), cfg);
 
-  obs::TraceConfig tcfg;
-  tcfg.timeseries_bucket = milliseconds(100);
-  obs::TraceRecorder rec(tcfg);
+  obs::TraceRecorder rec;
   cfg.cluster.trace = &rec;
   const auto on = harness::run_experiment(protocols::gmu(), cfg);
 
@@ -67,6 +62,7 @@ TEST(Trace, AttachingARecorderDoesNotChangeTheRun) {
   EXPECT_DOUBLE_EQ(off.txn_latency_p99, on.txn_latency_p99);
   EXPECT_DOUBLE_EQ(off.cpu_utilization, on.cpu_utilization);
   EXPECT_EQ(off.aborts_by_reason, on.aborts_by_reason);
+  EXPECT_DOUBLE_EQ(off.events_per_second, on.events_per_second);
   // The trace-free run has no phase data; the traced run does.
   EXPECT_FALSE(off.has_phase_breakdown());
   EXPECT_TRUE(on.has_phase_breakdown());
@@ -116,40 +112,6 @@ TEST(Trace, MessageClassCountersSumToTransportTotal) {
   EXPECT_GT(rec.msg_count(obs::MsgClass::kClientResp), 0u);
   EXPECT_GT(rec.msg_count(obs::MsgClass::kTermination), 0u);
   EXPECT_GT(rec.msg_count(obs::MsgClass::kVote), 0u);
-  EXPECT_GT(rec.msg_bytes(obs::MsgClass::kTermination), 0u);
-}
-
-TEST(Trace, TimeSeriesSamplerEmitsCounters) {
-  auto cfg = small_config();
-  obs::TraceConfig tcfg;
-  tcfg.spans = false;
-  tcfg.timeseries_bucket = milliseconds(100);
-  obs::TraceRecorder rec(tcfg);
-  cfg.cluster.trace = &rec;
-  (void)harness::run_experiment(protocols::gmu(), cfg);
-
-  std::uint64_t tput_samples = 0, cpu_samples = 0, queue_samples = 0;
-  bool saw_positive_tput = false;
-  for (const auto& e : rec.events()) {
-    ASSERT_EQ(e.kind, obs::TraceEvent::Kind::kCounter);  // spans are off
-    const std::string name = e.name;
-    if (name == "throughput_tps") {
-      ++tput_samples;
-      saw_positive_tput = saw_positive_tput || e.value > 0;
-    } else if (name == "cpu_util") {
-      ++cpu_samples;
-      EXPECT_GE(e.value, 0.0);
-      EXPECT_LE(e.value, 1.0);
-    } else if (name == "cert_queue") {
-      ++queue_samples;
-    }
-  }
-  // 0.6 s window, 100 ms buckets -> 6 ticks; per tick: 1 global throughput
-  // sample and one cpu/queue sample per site.
-  EXPECT_EQ(tput_samples, 6u);
-  EXPECT_EQ(cpu_samples, 6u * 4);
-  EXPECT_EQ(queue_samples, 6u * 4);
-  EXPECT_TRUE(saw_positive_tput);
 }
 
 TEST(Trace, AbortTaxonomyPartitionsNonCommits) {
@@ -179,27 +141,6 @@ TEST(Trace, AbortTaxonomyPartitionsNonCommits) {
   EXPECT_EQ(r.aborts_by_reason[static_cast<std::size_t>(
                 obs::AbortReason::kSnapshotFailure)],
             r.exec_failures);
-}
-
-TEST(Trace, FaultEventsMatchTransportFaultStats) {
-  // Lossy links: the recorder's drop/retransmit counters are incremented on
-  // the same code paths as the transport's fault statistics, and both are
-  // reset together at the warmup boundary.
-  auto cfg = small_config();
-  cfg.cluster.faults.links.push_back(
-      sim::LinkFault{.drop_prob = 0.10});  // every link, whole run
-  cfg.cluster.term_timeout = seconds(1);
-  cfg.cluster.client_timeout = seconds(2);
-  obs::TraceConfig tcfg;
-  tcfg.spans = false;
-  obs::TraceRecorder rec(tcfg);
-  cfg.cluster.trace = &rec;
-  const auto r = harness::run_experiment(protocols::jessy2pc(), cfg);
-
-  EXPECT_GT(rec.fault_count(obs::FaultKind::kDrop), 0u);
-  EXPECT_EQ(rec.fault_count(obs::FaultKind::kDrop), r.msgs_dropped);
-  EXPECT_EQ(rec.fault_count(obs::FaultKind::kRetransmit),
-            r.msgs_retransmitted);
 }
 
 TEST(Trace, GmuTerminationCostIsCertificationDominated) {
