@@ -69,7 +69,6 @@ enum class FaultKind : std::uint8_t {
   kRecovery,    // site finished WAL replay
   kCount
 };
-constexpr std::size_t kFaultKindCount = static_cast<std::size_t>(FaultKind::kCount);
 [[nodiscard]] const char* fault_kind_name(FaultKind k);
 
 }  // namespace gdur::obs
