@@ -131,6 +131,10 @@ int main(int argc, char** argv) {
                 !cfg.check        ? "skipped"
                 : r.checker_ok    ? "clean"
                                   : r.checker_detail.c_str());
+    if (cfg.open_loop_tps > 0)
+      std::printf("  offered %.0f/s of %.0f/s nominal\n",
+                  static_cast<double>(r.offered) / r.wall_secs,
+                  cfg.open_loop_tps);
     if (r.hung_clients > 0)
       std::printf("  WARNING: %d client(s) hung at shutdown\n",
                   r.hung_clients);

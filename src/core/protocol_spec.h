@@ -78,6 +78,10 @@ struct CertContext {
 
 struct ProtocolSpec {
   std::string name;
+  /// The consistency criterion the protocol claims, in the checker's
+  /// vocabulary (SER, US, SI, PSI, NMSI, RC, RA); variants built from a
+  /// base protocol inherit it.
+  const char* criterion = "";
 
   // Execution phase.
   versioning::VersioningKind theta = versioning::VersioningKind::kTS;

@@ -83,22 +83,16 @@ class Arena {
 
 /// Typed free-list: get() reuses released nodes, steady state allocates
 /// nothing. Nodes are value-initialized on first allocation only — callers
-/// must fully re-initialize recycled nodes.
+/// must fully re-initialize recycled nodes. The pool owns every node it
+/// allocated, so one still out at teardown (a request whose transaction
+/// was in flight when the cluster stopped) is freed with the pool.
 template <typename T>
 class Pool {
  public:
-  ~Pool() {
-    for (T* p : free_) delete p;
-  }
-
-  Pool() = default;
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
   T* get() {
     if (free_.empty()) {
-      ++live_;
-      return new T();
+      nodes_.push_back(std::make_unique<T>());
+      free_.push_back(nodes_.back().get());
     }
     T* p = free_.back();
     free_.pop_back();
@@ -115,6 +109,7 @@ class Pool {
   [[nodiscard]] std::size_t pooled() const { return free_.size(); }
 
  private:
+  std::vector<std::unique_ptr<T>> nodes_;
   std::vector<T*> free_;
   std::size_t live_ = 0;
 };

@@ -6,47 +6,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
+
+#include "net/frame.h"
 
 namespace gdur::front {
 
 namespace codec = net::codec;
-
-namespace {
-
-bool write_all(int fd, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-bool read_all(int fd, void* data, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-}  // namespace
 
 GdurClient::~GdurClient() { close(); }
 
@@ -75,13 +43,13 @@ bool GdurClient::connect() {
 
   codec::Writer w;
   w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientHello));
-  codec::encode_client_hello(w, {1, kNoSite});
-  if (!send_frame(w.data())) {
+  codec::encode(w, codec::ClientHelloMsg{1, kNoSite});
+  if (!net::write_frame(fd_, w.data())) {
     close();
     return false;
   }
   std::vector<std::uint8_t> body;
-  if (!read_frame(body)) {
+  if (!net::read_frame(fd_, body, net::kMaxFrame)) {
     close();
     return false;
   }
@@ -92,7 +60,7 @@ bool GdurClient::connect() {
     close();
     return false;
   }
-  auto welcome = codec::decode_client_welcome(r);
+  auto welcome = codec::decode<codec::ClientWelcomeMsg>(r);
   if (!welcome) {
     close();
     return false;
@@ -128,38 +96,16 @@ void GdurClient::close() {
   fail_all();
 }
 
-bool GdurClient::send_frame(const std::vector<std::uint8_t>& body) {
-  std::uint8_t hdr[4];
-  const auto n = static_cast<std::uint32_t>(body.size());
-  hdr[0] = static_cast<std::uint8_t>(n);
-  hdr[1] = static_cast<std::uint8_t>(n >> 8);
-  hdr[2] = static_cast<std::uint8_t>(n >> 16);
-  hdr[3] = static_cast<std::uint8_t>(n >> 24);
-  MutexLock lock(&write_mu_);
-  return write_all(fd_, hdr, 4) && write_all(fd_, body.data(), body.size());
-}
-
-bool GdurClient::read_frame(std::vector<std::uint8_t>& body) {
-  std::uint8_t hdr[4];
-  if (!read_all(fd_, hdr, 4)) return false;
-  const std::uint32_t n = std::uint32_t(hdr[0]) | (std::uint32_t(hdr[1]) << 8) |
-                          (std::uint32_t(hdr[2]) << 16) |
-                          (std::uint32_t(hdr[3]) << 24);
-  if (n > (1u << 24)) return false;
-  body.resize(n);
-  return read_all(fd_, body.data(), n);
-}
-
 void GdurClient::reader_loop() {
   std::vector<std::uint8_t> body;
   for (;;) {
-    if (!read_frame(body)) break;
+    if (!net::read_frame(fd_, body, net::kMaxFrame)) break;
     codec::Reader r(body);
     const auto tag = r.u8();
     if (!tag) break;
     switch (static_cast<codec::MsgType>(*tag)) {
       case codec::MsgType::kClientResp: {
-        auto m = codec::decode_client_resp(r);
+        auto m = codec::decode<codec::ClientRespMsg>(r);
         if (!m) break;
         RespCb cb;
         {
@@ -177,7 +123,7 @@ void GdurClient::reader_loop() {
         break;
       }
       case codec::MsgType::kPushback: {
-        auto m = codec::decode_pushback(r);
+        auto m = codec::decode<codec::PushbackMsg>(r);
         if (!m) break;
         {
           MutexLock lock(&mu_);
@@ -232,13 +178,7 @@ bool GdurClient::submit(codec::ClientOp op, std::uint64_t txn, ObjectId obj,
     ++inflight_;
     inflight_gauge_.store(inflight_, std::memory_order_relaxed);
   }
-  codec::Writer w;
-  w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientReq));
-  codec::encode_client_req(
-      w, {cookie, op, txn, obj, std::move(reads), std::move(writes)});
-  if (send_frame(w.data())) return true;
-  fail_all();
-  return false;
+  return send_req({cookie, op, txn, obj, std::move(reads), std::move(writes)});
 }
 
 bool GdurClient::try_submit(codec::ClientOp op, std::uint64_t txn,
@@ -253,13 +193,20 @@ bool GdurClient::try_submit(codec::ClientOp op, std::uint64_t txn,
     ++inflight_;
     inflight_gauge_.store(inflight_, std::memory_order_relaxed);
   }
+  return send_req({cookie, op, txn, obj, std::move(reads), std::move(writes)});
+}
+
+bool GdurClient::send_req(const codec::ClientReqMsg& m) {
   codec::Writer w;
   w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientReq));
-  codec::encode_client_req(
-      w, {cookie, op, txn, obj, std::move(reads), std::move(writes)});
-  if (send_frame(w.data())) return true;
-  fail_all();
-  return false;
+  codec::encode(w, m);
+  bool sent = false;
+  {
+    MutexLock lock(&write_mu_);
+    sent = net::write_frame(fd_, w.data());
+  }
+  if (!sent) fail_all();
+  return sent;
 }
 
 GdurClient::Resp GdurClient::roundtrip(codec::ClientOp op, std::uint64_t txn,

@@ -106,8 +106,8 @@ class GdurClient {
   }
 
  private:
-  bool send_frame(const std::vector<std::uint8_t>& body);
-  bool read_frame(std::vector<std::uint8_t>& body);
+  /// Sends one request frame; on a send error fails every pending request.
+  bool send_req(const net::codec::ClientReqMsg& m);
   void reader_loop();
   /// Fails every outstanding callback with ok=false and wakes waiters.
   void fail_all();

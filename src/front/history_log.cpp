@@ -6,88 +6,70 @@
 #include "net/codec.h"
 #include "net/wire.h"
 
+// A dump is a magic number, the header, then tagged records to the end of
+// the file: tag 1 = a transaction outcome, tag 2 = an install.
+namespace gdur::net::codec {
+
+void fields(auto& f, Is<front::HistoryDumpHeader> auto& h) {
+  f(h.protocol);
+  f(h.criterion);
+  f(h.sites);
+  f(h.replication);
+  f(h.objects);
+  f(h.partitions_per_site);
+  f(h.self);
+}
+
+void fields(auto& f, Is<checker::TxnOutcome> auto& o) {
+  f(o.txn);
+  f(o.committed);
+  f.varint(o.response_time);
+}
+
+void fields(auto& f, Is<core::Cluster::InstallEvent> auto& e) {
+  f(e.obj);
+  f(e.writer);
+  f(e.pidx);
+  f(e.site);
+  f.varint(e.time);
+}
+
+void fields(auto& f, Is<front::HistoryDump> auto& d) {
+  constexpr std::uint32_t kMagic = 0x4844'4731;  // "1GDH" little-endian
+  std::uint32_t magic = kMagic;
+  f(magic);
+  f.check([&magic] { return magic == kMagic; });
+  f(d.header);
+  f.records(d.txns, d.installs);
+}
+
+}  // namespace gdur::net::codec
+
 namespace gdur::front {
 
 namespace codec = net::codec;
 
-namespace {
-
-constexpr std::uint32_t kMagic = 0x4844'4731;  // "GDH1" little-endian
-constexpr std::uint8_t kTxnRecordTag = 1;
-constexpr std::uint8_t kInstallTag = 2;
-
-void encode_header(codec::Writer& w, const HistoryDumpHeader& h) {
-  w.u32(kMagic);
-  w.str(h.protocol);
-  w.str(h.criterion);
-  w.u32(h.sites);
-  w.u32(h.replication);
-  w.varint(h.objects);
-  w.u32(h.partitions_per_site);
-  w.u32(h.self);
-}
-
-std::optional<HistoryDumpHeader> decode_header(codec::Reader& r) {
-  const auto magic = r.u32();
-  if (!magic || *magic != kMagic) return std::nullopt;
-  HistoryDumpHeader h;
-  auto protocol = r.str();
-  auto criterion = r.str();
-  if (!protocol || !criterion) return std::nullopt;
-  h.protocol = std::move(*protocol);
-  h.criterion = std::move(*criterion);
-  const auto sites = r.u32();
-  const auto repl = r.u32();
-  const auto objects = r.varint();
-  const auto parts = r.u32();
-  const auto self = r.u32();
-  if (!sites || !repl || !objects || !parts || !self) return std::nullopt;
-  h.sites = *sites;
-  h.replication = *repl;
-  h.objects = *objects;
-  h.partitions_per_site = *parts;
-  h.self = *self;
-  return h;
-}
-
-}  // namespace
-
 void HistoryLogWriter::add_txn(const core::TxnRecord& t, bool committed,
                                SimTime response) {
   MutexLock lock(&mu_);
-  txns_.push_back({t, committed, response});
+  dump_.txns.push_back({t, committed, response});
 }
 
 void HistoryLogWriter::add_install(const core::Cluster::InstallEvent& e) {
   MutexLock lock(&mu_);
-  installs_.push_back(e);
+  dump_.installs.push_back(e);
 }
 
 std::size_t HistoryLogWriter::txn_count() const {
   MutexLock lock(&mu_);
-  return txns_.size();
+  return dump_.txns.size();
 }
 
 bool HistoryLogWriter::write_file(const std::string& path) const {
   codec::Writer w;
-  encode_header(w, hdr_);
   {
     MutexLock lock(&mu_);
-    for (const auto& t : txns_) {
-      w.u8(kTxnRecordTag);
-      codec::encode_txn(w, t.txn, net::wire::kPayload);
-      w.u8(t.committed ? 1 : 0);
-      w.varint(static_cast<std::uint64_t>(t.response_time));
-    }
-    for (const auto& e : installs_) {
-      w.u8(kInstallTag);
-      w.varint(e.obj);
-      w.u32(e.writer.coord);
-      w.varint(e.writer.seq);
-      w.varint(e.pidx);
-      w.u32(e.site);
-      w.varint(static_cast<std::uint64_t>(e.time));
-    }
+    codec::encode(w, dump_);
   }
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
@@ -111,41 +93,7 @@ std::optional<HistoryDump> read_history_dump(const std::string& path) {
   if (read_err) return std::nullopt;
 
   codec::Reader r(bytes);
-  auto hdr = decode_header(r);
-  if (!hdr) return std::nullopt;
-  HistoryDump dump;
-  dump.header = std::move(*hdr);
-  while (r.remaining() > 0) {
-    const auto tag = r.u8();
-    if (!tag) return std::nullopt;
-    if (*tag == kTxnRecordTag) {
-      auto t = codec::decode_txn(r);
-      const auto committed = r.u8();
-      const auto resp = r.varint();
-      if (!t || !committed || *committed > 1 || !resp) return std::nullopt;
-      dump.txns.push_back({std::move(*t), *committed == 1,
-                           static_cast<SimTime>(*resp)});
-    } else if (*tag == kInstallTag) {
-      core::Cluster::InstallEvent e;
-      const auto obj = r.varint();
-      const auto coord = r.u32();
-      const auto seq = r.varint();
-      const auto pidx = r.varint();
-      const auto site = r.u32();
-      const auto time = r.varint();
-      if (!obj || !coord || !seq || !pidx || !site || !time)
-        return std::nullopt;
-      e.obj = *obj;
-      e.writer = {*coord, *seq};
-      e.pidx = *pidx;
-      e.site = *site;
-      e.time = static_cast<SimTime>(*time);
-      dump.installs.push_back(e);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return dump;
+  return codec::decode<HistoryDump>(r);
 }
 
 }  // namespace gdur::front

@@ -39,11 +39,20 @@ struct HistoryDumpHeader {
   }
 };
 
+/// One process's history: what a dump file holds.
+struct HistoryDump {
+  HistoryDumpHeader header;
+  std::vector<checker::TxnOutcome> txns;
+  std::vector<core::Cluster::InstallEvent> installs;
+};
+
 /// Accumulates one process's history; thread-safe (observers fire on the
 /// site thread while the main thread may snapshot at drain).
 class HistoryLogWriter {
  public:
-  explicit HistoryLogWriter(HistoryDumpHeader hdr) : hdr_(std::move(hdr)) {}
+  explicit HistoryLogWriter(HistoryDumpHeader hdr) {
+    dump_.header = std::move(hdr);
+  }
 
   void add_txn(const core::TxnRecord& t, bool committed, SimTime response);
   void add_install(const core::Cluster::InstallEvent& e);
@@ -54,17 +63,8 @@ class HistoryLogWriter {
   [[nodiscard]] bool write_file(const std::string& path) const;
 
  private:
-  HistoryDumpHeader hdr_;
   mutable Mutex mu_;
-  std::vector<checker::TxnOutcome> txns_ GUARDED_BY(mu_);
-  std::vector<core::Cluster::InstallEvent> installs_ GUARDED_BY(mu_);
-};
-
-/// One parsed dump file.
-struct HistoryDump {
-  HistoryDumpHeader header;
-  std::vector<checker::TxnOutcome> txns;
-  std::vector<core::Cluster::InstallEvent> installs;
+  HistoryDump dump_ GUARDED_BY(mu_);
 };
 
 /// Parses a dump written by HistoryLogWriter::write_file. nullopt on any

@@ -23,6 +23,7 @@ namespace gdur::front {
 namespace {
 
 constexpr std::uint64_t kListenerBit = 1ull << 63;
+constexpr std::size_t kHdr = net::kFrameHeader;
 constexpr int kMaxEvents = 128;
 constexpr int kMaxIov = 64;
 
@@ -31,19 +32,23 @@ void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-std::uint32_t read_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
-Reactor::Reactor(ReactorConfig cfg) : cfg_(cfg) {}
+Reactor::Reactor(ReactorConfig cfg) : cfg_(cfg) {
+  if (::pipe(wake_pipe_) != 0) {
+    GDUR_ERROR("front: pipe() failed: %s", std::strerror(errno));
+    wake_pipe_[0] = wake_pipe_[1] = -1;
+    return;
+  }
+  set_nonblocking(wake_pipe_[0]);
+  set_nonblocking(wake_pipe_[1]);
+}
 
 Reactor::~Reactor() {
   stop();
+  for (int fd : wake_pipe_) {
+    if (fd >= 0) ::close(fd);
+  }
   {
     MutexLock lock(&conns_mu_);
     for (auto& c : conns_) {
@@ -88,13 +93,7 @@ std::size_t Reactor::conn_count() const {
 }
 
 void Reactor::start() {
-  if (running_) return;
-  if (::pipe(wake_pipe_) != 0) {
-    GDUR_ERROR("front: pipe() failed: %s", std::strerror(errno));
-    return;
-  }
-  set_nonblocking(wake_pipe_[0]);
-  set_nonblocking(wake_pipe_[1]);
+  if (running_ || wake_pipe_[0] < 0) return;
 #ifdef __linux__
   if (cfg_.use_epoll) {
     epfd_ = ::epoll_create1(0);
@@ -121,9 +120,6 @@ void Reactor::stop() {
   wake();
   thread_.join();
   running_ = false;
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
   if (epfd_ >= 0) {
     ::close(epfd_);
     epfd_ = -1;
@@ -157,15 +153,11 @@ void Reactor::send_frame(int conn_id, std::vector<std::uint8_t> body) {
     GDUR_ERROR("front: refusing oversized frame (%zu bytes)", body.size());
     return;
   }
-  const auto len = static_cast<std::uint32_t>(body.size());
-  const std::uint64_t total = body.size() + 4;
+  const std::uint64_t total = body.size() + kHdr;
   {
     MutexLock lock(&c->out_mu);
     OutMsg m;
-    m.hdr[0] = static_cast<std::uint8_t>(len & 0xff);
-    m.hdr[1] = static_cast<std::uint8_t>((len >> 8) & 0xff);
-    m.hdr[2] = static_cast<std::uint8_t>((len >> 16) & 0xff);
-    m.hdr[3] = static_cast<std::uint8_t>((len >> 24) & 0xff);
+    m.hdr = net::frame_header(static_cast<std::uint32_t>(body.size()));
     m.body = std::move(body);  // zero-copy: gathered into writev later
     c->out.push_back(std::move(m));
   }
@@ -213,11 +205,13 @@ std::uint64_t Reactor::conn_pending_out(int conn_id) const {
 bool Reactor::read_paused(int conn_id) const {
   const Conn* c = conn_at(conn_id);
   if (c == nullptr) return false;
-  return c->auto_paused || c->user_paused.load(std::memory_order_relaxed);
+  return c->auto_paused.load(std::memory_order_relaxed) ||
+         c->user_paused.load(std::memory_order_relaxed);
 }
 
 bool Reactor::wants_read(const Conn& c) const {
-  return !c.dead && !c.close_after_flush && !c.auto_paused &&
+  return !c.dead && !c.close_after_flush &&
+         !c.auto_paused.load(std::memory_order_relaxed) &&
          !c.user_paused.load(std::memory_order_relaxed);
 }
 
@@ -234,10 +228,11 @@ void Reactor::update_interest(Conn& c, int conn_id) {
   // matter how fast the peer submits (the never-reading-client contract).
   if (cfg_.pause_read_at > 0) {
     const std::uint64_t out = c.out_bytes.load(std::memory_order_relaxed);
-    if (!c.auto_paused && out > cfg_.pause_read_at) {
-      c.auto_paused = true;
-    } else if (c.auto_paused && out < cfg_.pause_read_at / 2) {
-      c.auto_paused = false;
+    const bool paused = c.auto_paused.load(std::memory_order_relaxed);
+    if (!paused && out > cfg_.pause_read_at) {
+      c.auto_paused.store(true, std::memory_order_relaxed);
+    } else if (paused && out < cfg_.pause_read_at / 2) {
+      c.auto_paused.store(false, std::memory_order_relaxed);
     }
   }
 #ifdef __linux__
@@ -507,17 +502,17 @@ void Reactor::handle_readable(Conn& c, int conn_id) {
     return;
   }
   // Extract complete frames.
-  while (c.in.size() - c.in_off >= 4) {
-    const std::uint32_t len = read_le32(c.in.data() + c.in_off);
+  while (c.in.size() - c.in_off >= kHdr) {
+    const std::uint32_t len = net::frame_length(c.in.data() + c.in_off);
     if (len > cfg_.max_frame) {
       GDUR_ERROR("front: oversized frame (%u bytes), dropping conn", len);
       mark_dead(c, conn_id);
       return;
     }
-    if (c.in.size() - c.in_off < 4 + static_cast<std::size_t>(len)) break;
-    std::vector<std::uint8_t> frame(c.in.begin() + c.in_off + 4,
-                                    c.in.begin() + c.in_off + 4 + len);
-    c.in_off += 4 + len;
+    if (c.in.size() - c.in_off < kHdr + len) break;
+    std::vector<std::uint8_t> frame(c.in.begin() + c.in_off + kHdr,
+                                    c.in.begin() + c.in_off + kHdr + len);
+    c.in_off += kHdr + len;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     if (on_frame_) on_frame_(conn_id, std::move(frame));
     if (c.dead) return;  // handler may close the connection
@@ -540,10 +535,10 @@ bool Reactor::flush_writable(Conn& c) {
     int niov = 0;
     for (auto& m : c.out) {
       if (niov >= kMaxIov - 1) break;
-      const std::size_t body_off = m.off > 4 ? m.off - 4 : 0;
-      if (m.off < 4) {
-        iov[niov].iov_base = m.hdr + m.off;
-        iov[niov].iov_len = 4 - m.off;
+      const std::size_t body_off = m.off > kHdr ? m.off - kHdr : 0;
+      if (m.off < kHdr) {
+        iov[niov].iov_base = m.hdr.data() + m.off;
+        iov[niov].iov_len = kHdr - m.off;
         ++niov;
       }
       if (m.body.size() > body_off) {
@@ -563,7 +558,7 @@ bool Reactor::flush_writable(Conn& c) {
       // EPIPE etc.: peer gone. Abandoned bytes count as flushed so the
       // watchdog's pending-output gauge returns to zero.
       std::uint64_t abandoned = 0;
-      for (const auto& m : c.out) abandoned += 4 + m.body.size() - m.off;
+      for (const auto& m : c.out) abandoned += kHdr + m.body.size() - m.off;
       flushed_bytes_.fetch_add(abandoned, std::memory_order_relaxed);
       c.out_bytes.fetch_sub(abandoned, std::memory_order_relaxed);
       c.out.clear();
@@ -576,7 +571,7 @@ bool Reactor::flush_writable(Conn& c) {
     std::size_t left = static_cast<std::size_t>(n);
     while (left > 0 && !c.out.empty()) {
       OutMsg& m = c.out.front();
-      const std::size_t sz = 4 + m.body.size() - m.off;
+      const std::size_t sz = kHdr + m.body.size() - m.off;
       if (left >= sz) {
         left -= sz;
         c.out.pop_front();
@@ -595,7 +590,7 @@ void Reactor::mark_dead(Conn& c, int conn_id) {
   {
     MutexLock lock(&c.out_mu);
     std::uint64_t abandoned = 0;
-    for (const auto& m : c.out) abandoned += 4 + m.body.size() - m.off;
+    for (const auto& m : c.out) abandoned += kHdr + m.body.size() - m.off;
     flushed_bytes_.fetch_add(abandoned, std::memory_order_relaxed);
     c.out_bytes.fetch_sub(abandoned, std::memory_order_relaxed);
     c.out.clear();

@@ -4,8 +4,8 @@
 // client connections. One thread multiplexes every registered socket with
 // epoll (level-triggered) or, on hosts without epoll or when configured, a
 // portable poll() backend with identical semantics. Frames are
-// length-prefixed: a 4-byte little-endian body size followed by the body
-// (first body byte is the codec::MsgType tag; the reactor is agnostic).
+// length-prefixed as net/frame.h defines (first body byte is the
+// codec::MsgType tag; the reactor is agnostic).
 //
 // What it adds over the old loop:
 //   * Listening sockets with an accept state machine: new connections get
@@ -43,6 +43,7 @@
 
 #include "common/analysis_annotations.h"
 #include "common/thread_annotations.h"
+#include "net/frame.h"
 
 namespace gdur::obs {
 class StatsSlot;
@@ -55,7 +56,7 @@ struct ReactorConfig {
   /// identical observable behavior, chosen at construction.
   bool use_epoll = true;
   /// Frames larger than this are a protocol error; the connection drops.
-  std::uint32_t max_frame = 1u << 24;
+  std::uint32_t max_frame = net::kMaxFrame;
   /// TCP keepalive for accepted connections (a wedged client host must not
   /// pin a session forever). Applied via SO_KEEPALIVE + TCP_KEEPIDLE/
   /// INTVL/CNT where available.
@@ -162,11 +163,11 @@ class Reactor {
   [[nodiscard]] bool using_epoll() const { return epfd_ >= 0; }
 
  private:
-  /// One queued outbound frame: the 4-byte length prefix lives here, the
-  /// body is the caller's buffer moved in — never re-copied, only gathered
-  /// into writev iovecs.
+  /// One queued outbound frame: the length prefix lives here, the body is
+  /// the caller's buffer moved in — never re-copied, only gathered into
+  /// writev iovecs.
   struct OutMsg {
-    std::uint8_t hdr[4];
+    net::FrameHeader hdr;
     std::vector<std::uint8_t> body;
     std::size_t off = 0;  // bytes of hdr+body already written
   };
@@ -176,12 +177,13 @@ class Reactor {
     /// Reactor thread only.
     bool dead = false;
     bool close_after_flush = false;
-    bool auto_paused = false;          // output watermark tripped
     bool in_epoll_once = false;        // registered with epoll at least once
     std::uint32_t armed_events = 0;    // last epoll interest registered
     std::vector<std::uint8_t> in;      // reactor thread only
     std::size_t in_off = 0;            // parsed prefix of `in`
-    /// Any thread.
+    /// Any thread. auto_paused is written by the reactor thread only (the
+    /// output watermark tripped) and read by read_paused() too.
+    std::atomic<bool> auto_paused{false};
     std::atomic<bool> user_paused{false};
     std::atomic<std::uint64_t> out_bytes{0};
     Mutex out_mu;
@@ -231,6 +233,9 @@ class Reactor {
   bool stopping_ GUARDED_BY(ctl_mu_) = false;
 
   int epfd_ = -1;  // -1 = poll() backend
+  /// Lives as long as the Reactor, so a wake() racing stop() writes to the
+  /// pipe, not to a closed (or reused) descriptor. Written only by the
+  /// constructor; {-1, -1} if pipe() failed.
   int wake_pipe_[2] = {-1, -1};
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> accepted_{0};

@@ -116,13 +116,13 @@ void FrontServer::on_frame(int conn, std::vector<std::uint8_t> frame) {
   if (!tag) return;
   switch (static_cast<codec::MsgType>(*tag)) {
     case codec::MsgType::kClientHello: {
-      auto m = codec::decode_client_hello(r);
+      auto m = codec::decode<codec::ClientHelloMsg>(r);
       if (!m || s->hello_done) break;
       handle_hello(*s, *m);
       return;
     }
     case codec::MsgType::kClientReq: {
-      auto m = codec::decode_client_req(r);
+      auto m = codec::decode<codec::ClientReqMsg>(r);
       if (!m || !s->hello_done) break;
       handle_req(*s, *m);
       return;
@@ -143,8 +143,8 @@ void FrontServer::handle_hello(Session& s,
   s.hello_done = true;
   codec::Writer w;
   w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientWelcome));
-  codec::encode_client_welcome(
-      w, {s.id, cfg_.window, cfg_.site, cl_.spec().name});
+  codec::encode(w, codec::ClientWelcomeMsg{s.id, cfg_.window, cfg_.site,
+                                          cl_.spec().name});
   send_to(s.conn, w);
   // Joined mid-overload: tell the new session immediately.
   if (pushed_.load(std::memory_order_relaxed)) send_pushback(s, true);
@@ -295,7 +295,8 @@ void FrontServer::respond(RequestCtx* ctx, bool ok, std::uint64_t txn,
   if (s != nullptr && !s->closing) {
     codec::Writer w;
     w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientResp));
-    codec::encode_client_resp(w, {ctx->cookie, ctx->op, ok, txn, payload});
+    codec::encode(
+        w, codec::ClientRespMsg{ctx->cookie, ctx->op, ok, txn, payload});
     send_to(ctx->conn, w);
     if (s->inflight > 0) --s->inflight;
   }
@@ -339,9 +340,9 @@ void FrontServer::check_pushback() {
 void FrontServer::send_pushback(Session& s, bool stop) {
   codec::Writer w;
   w.u8(static_cast<std::uint8_t>(codec::MsgType::kPushback));
-  codec::encode_pushback(
-      w, {stop, static_cast<std::uint64_t>(
-                    cl_.replica(cfg_.site).queue_length())});
+  const auto depth =
+      static_cast<std::uint64_t>(cl_.replica(cfg_.site).queue_length());
+  codec::encode(w, codec::PushbackMsg{stop, depth});
   send_to(s.conn, w);
   s.pushed = stop;
 }

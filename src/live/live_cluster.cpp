@@ -453,7 +453,7 @@ void LiveCluster::flush_batch(SiteId from, SiteId to) {
   } else {
     codec::Writer w;
     w.u8(static_cast<std::uint8_t>(codec::MsgType::kBatch));
-    codec::encode_batch(w, q);
+    codec::encode(w, q);
     batches_sent_.fetch_add(1, std::memory_order_relaxed);
     batched_msgs_.fetch_add(q.size(), std::memory_order_relaxed);
     transport_live_->send(from, to, w.data());
@@ -474,7 +474,7 @@ void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
   // coordinator need not be a destination of its own transaction).
   if (const TxnPtr* t = full_record(m)) remember(from, *t);
   codec::Writer w;
-  if (from != to) codec::encode_msg(w, m);
+  if (from != to) codec::encode(w, m);
   if (trace_ != nullptr) {
     // Traced as sent, self-sends included (the sim counts them too).
     const SimTime ts = now();
@@ -517,13 +517,13 @@ void LiveCluster::on_frame(SiteId src, SiteId dst,
   if (!frame.empty() &&
       frame[0] == static_cast<std::uint8_t>(codec::MsgType::kBatch)) {
     (void)r.u8();
-    if (auto items = codec::decode_batch(r)) {
+    if (auto items = codec::decode<codec::Batch>(r)) {
       // Each item is a complete tagged frame; taking them in append order
       // keeps per-link FIFO across coalescing.
       for (const auto& inner : *items) on_frame(src, dst, inner);
       return;
     }
-  } else if (auto m = codec::decode_msg(r)) {
+  } else if (auto m = codec::decode<net::Msg>(r)) {
     arrive(src, dst, std::move(*m));
     return;
   }

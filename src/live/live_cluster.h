@@ -98,6 +98,12 @@ class LiveCluster : public core::Cluster {
 
   /// Posts `fn` to site `at`'s mailbox (any thread).
   void post(SiteId at, std::function<void()> fn);
+  /// Runs `fn` on the timer-wheel thread once `delay` has elapsed (any
+  /// thread). `fn` must be cheap and post its real work to a site: load
+  /// generators pace themselves here, off the site threads they load.
+  void on_timer(SimDuration delay, std::function<void()> fn) {
+    wheel_.schedule_after(std::chrono::nanoseconds(delay), std::move(fn));
+  }
 
   // --- scheduler seam ---------------------------------------------------
   [[nodiscard]] SimTime now() const override;

@@ -73,6 +73,9 @@ struct LiveRunResult {
   harness::Metrics metrics;
   double wall_secs = 0.0;        // measurement window actually elapsed
   double throughput_tps = 0.0;   // committed txns / wall_secs
+  /// Arrivals the open-loop sources issued (0 for closed loops): compare
+  /// with open_loop_tps × wall_secs to see the load actually offered.
+  std::uint64_t offered = 0;
   bool checker_ok = true;
   std::string checker_detail;
   std::uint64_t messages = 0;  // frames over the live transport
@@ -92,8 +95,8 @@ struct LiveRunResult {
   std::uint64_t flight_dumps = 0;
 };
 
-/// The consistency criterion each registry protocol claims (checker
-/// vocabulary: SER, US, SI, PSI, NMSI, RC, RA).
+/// The consistency criterion registry protocol `protocol` claims (its
+/// ProtocolSpec::criterion).
 [[nodiscard]] const char* criterion_of(const std::string& protocol);
 
 /// Builds a LiveCluster for `cfg.protocol`, runs the workload over real

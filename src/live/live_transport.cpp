@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "net/codec.h"
+#include "net/frame.h"
 #include "obs/plane.h"
 
 namespace gdur::live {
@@ -24,33 +25,6 @@ using std::chrono::steady_clock;
 [[noreturn]] void fail(const char* what) {
   throw std::runtime_error(std::string("live transport: ") + what + ": " +
                            std::strerror(errno));
-}
-
-void write_all(int fd, const std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    // gdur-lint: allow(live/blocking-call) handshake runs on the caller's setup thread, before the reactor starts
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      fail("handshake write");
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-void read_all(int fd, std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    // gdur-lint: allow(live/blocking-call) handshake runs on the caller's setup thread, before the reactor starts
-    const ssize_t r = ::read(fd, p, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      fail("handshake read");
-    }
-    if (r == 0) fail("handshake eof");
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
 }
 
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
@@ -66,38 +40,27 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-/// Sends the framed ControlMsg hello announcing `src` on `fd`.
+/// Sends the framed ControlMsg hello announcing `src` on `fd` (blocking: the
+/// handshake runs on the caller's setup thread, before the reactor starts).
 void send_hello(int fd, SiteId src) {
   net::codec::Writer w;
   w.u8(static_cast<std::uint8_t>(net::codec::MsgType::kControl));
-  net::codec::encode_control(w,
-                             {1 /* hello */, static_cast<std::uint64_t>(src)});
-  const auto len = static_cast<std::uint32_t>(w.size());
-  std::uint8_t hdr[4] = {static_cast<std::uint8_t>(len & 0xff),
-                         static_cast<std::uint8_t>((len >> 8) & 0xff),
-                         static_cast<std::uint8_t>((len >> 16) & 0xff),
-                         static_cast<std::uint8_t>((len >> 24) & 0xff)};
-  write_all(fd, hdr, 4);
-  write_all(fd, w.data().data(), w.size());
+  net::codec::encode(w, net::codec::ControlMsg{1 /* hello */, src});
+  if (!net::write_frame(fd, w.data())) fail("handshake write");
 }
 
 /// Reads the framed hello off an inbound connection; returns the announced
 /// source site. Throws on malformed input.
 SiteId read_hello(int fd, int sites) {
-  std::uint8_t hdr[4];
-  read_all(fd, hdr, 4);
-  const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                            (static_cast<std::uint32_t>(hdr[1]) << 8) |
-                            (static_cast<std::uint32_t>(hdr[2]) << 16) |
-                            (static_cast<std::uint32_t>(hdr[3]) << 24);
-  if (len == 0 || len > 64) fail("bad hello frame");
-  std::vector<std::uint8_t> body(len);
-  read_all(fd, body.data(), len);
+  constexpr std::uint32_t kMaxHello = 64;
+  std::vector<std::uint8_t> body;
+  if (!net::read_frame(fd, body, kMaxHello) || body.empty())
+    fail("bad hello frame");
   net::codec::Reader r(body);
   const auto tag = r.u8();
   if (!tag || *tag != static_cast<std::uint8_t>(net::codec::MsgType::kControl))
     fail("bad hello tag");
-  const auto hello = net::codec::decode_control(r);
+  const auto hello = net::codec::decode<net::codec::ControlMsg>(r);
   if (!hello || hello->kind != 1 ||
       hello->arg >= static_cast<std::uint64_t>(sites))
     fail("bad hello body");
@@ -295,8 +258,8 @@ void LiveTransport::send(SiteId src, SiteId dst,
   if (conn < 0) return;  // not our link (external mesh: src must be self)
   auto& slot = plane_.slot(src);
   slot.record(obs::Counter::kMsgsSent);
-  slot.record(obs::Counter::kBytesSent, body.size() + 4);
-  slot.record_value(obs::Hist::kMsgBytes, body.size() + 4);
+  slot.record(obs::Counter::kBytesSent, body.size() + net::kFrameHeader);
+  slot.record_value(obs::Hist::kMsgBytes, body.size() + net::kFrameHeader);
   reactor_.send_frame(conn, body);
 }
 

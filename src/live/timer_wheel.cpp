@@ -38,13 +38,22 @@ std::uint64_t TimerWheel::tick_of(Clock::time_point tp) const {
   return static_cast<std::uint64_t>((since + kTick - Clock::duration(1)) / kTick);
 }
 
+std::uint64_t TimerWheel::elapsed_ticks(Clock::time_point tp) const {
+  const auto since = tp - t0_;
+  return since.count() <= 0 ? 0 : static_cast<std::uint64_t>(since / kTick);
+}
+
 void TimerWheel::schedule_after(std::chrono::nanoseconds delay,
                                 std::function<void()> fn) {
   {
     MutexLock lock(&mu_);
     if (!running_ || stopping_) return;
-    std::uint64_t tick = tick_of(Clock::now() + delay);
-    tick = std::max(tick, cur_tick_);
+    const auto now = Clock::now();
+    // An idle wheel's cursor stopped where it ran dry: bring it to the
+    // present here, before arming, so it can never jump past the slot this
+    // timer lands in (the wheel thread wakes later than now).
+    if (armed_ == 0) cur_tick_ = std::max(cur_tick_, elapsed_ticks(now));
+    const std::uint64_t tick = std::max(tick_of(now + delay), cur_tick_);
     slots_[tick % kSlots].push_back(Entry{tick, std::move(fn)});
     ++armed_;
     ++scheduled_;
@@ -59,17 +68,12 @@ void TimerWheel::loop() {
     if (armed_ == 0) {
       cv_.wait(lock, [this]() REQUIRES(mu_) { return stopping_ || armed_ > 0; });
       if (stopping_) return;
-      // Nothing was pending while we slept; jump to the present.
-      cur_tick_ = std::max(cur_tick_, tick_of(Clock::now()));
       continue;
     }
     // Tick T's entries are due once its boundary t0_ + T*kTick has PASSED,
     // so the gate must floor (tick_of rounds up and would admit the slot
     // up to a full tick early).
-    const auto since = Clock::now() - t0_;
-    const std::uint64_t now_tick =
-        since.count() <= 0 ? 0 : static_cast<std::uint64_t>(since / kTick);
-    if (cur_tick_ > now_tick) {
+    if (cur_tick_ > elapsed_ticks(Clock::now())) {
       cv_.wait_until(lock, t0_ + cur_tick_ * kTick,
                      [this]() REQUIRES(mu_) { return stopping_; });
       if (stopping_) return;

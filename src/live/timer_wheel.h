@@ -73,6 +73,9 @@ class TimerWheel {
   void loop() EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t tick_of(Clock::time_point tp) const
       REQUIRES(mu_);
+  /// Whole ticks elapsed at `tp` (tick_of rounds up, this floors).
+  [[nodiscard]] std::uint64_t elapsed_ticks(Clock::time_point tp) const
+      REQUIRES(mu_);
 
   mutable Mutex mu_;
   CondVar cv_;

@@ -15,6 +15,7 @@ namespace gdur::protocols {
 core::ProtocolSpec gmu() {
   core::ProtocolSpec s;
   s.name = "GMU";
+  s.criterion = "US";
   s.theta = versioning::VersioningKind::kGMV;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kTwoPhaseCommit;
@@ -35,6 +36,9 @@ core::ProtocolSpec gmu_star() {
   // snapshot metadata is still marshaled and shipped.
   auto s = gmu();
   s.name = "GMU*";
+  // Reading the last version gives up GMU's consistent snapshots, so the
+  // ablations claim only read committed (GMU** inherits this).
+  s.criterion = "RC";
   s.choose = core::ChooseKind::kLast;
   s.send_metadata = true;
   return s;

@@ -16,6 +16,7 @@ namespace gdur::protocols {
 core::ProtocolSpec jessy2pc() {
   core::ProtocolSpec s;
   s.name = "Jessy2pc";
+  s.criterion = "NMSI";
   s.theta = versioning::VersioningKind::kPDV;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kTwoPhaseCommit;

@@ -15,6 +15,7 @@ namespace gdur::protocols {
 core::ProtocolSpec p_store() {
   core::ProtocolSpec s;
   s.name = "P-Store";
+  s.criterion = "SER";
   s.theta = versioning::VersioningKind::kTS;
   s.choose = core::ChooseKind::kLast;
   s.ac = core::AcKind::kGroupComm;

@@ -23,6 +23,7 @@ namespace gdur::protocols {
 core::ProtocolSpec ramp() {
   core::ProtocolSpec s;
   s.name = "RAMP";
+  s.criterion = "RA";
   s.theta = versioning::VersioningKind::kPDV;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kTwoPhaseCommit;

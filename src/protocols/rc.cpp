@@ -9,6 +9,7 @@ namespace gdur::protocols {
 core::ProtocolSpec rc() {
   core::ProtocolSpec s;
   s.name = "RC";
+  s.criterion = "RC";
   s.theta = versioning::VersioningKind::kTS;
   s.choose = core::ChooseKind::kLast;
   s.send_metadata = false;

@@ -17,6 +17,7 @@ namespace gdur::protocols {
 core::ProtocolSpec s_dur() {
   core::ProtocolSpec s;
   s.name = "S-DUR";
+  s.criterion = "SER";
   s.theta = versioning::VersioningKind::kVTS;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kGroupComm;

@@ -18,6 +18,7 @@ namespace gdur::protocols {
 core::ProtocolSpec serrano() {
   core::ProtocolSpec s;
   s.name = "Serrano";
+  s.criterion = "SI";
   s.theta = versioning::VersioningKind::kTS;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kGroupComm;

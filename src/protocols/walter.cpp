@@ -16,6 +16,7 @@ namespace gdur::protocols {
 core::ProtocolSpec walter() {
   core::ProtocolSpec s;
   s.name = "Walter";
+  s.criterion = "PSI";
   s.theta = versioning::VersioningKind::kVTS;
   s.choose = core::ChooseKind::kCons;
   s.ac = core::AcKind::kTwoPhaseCommit;

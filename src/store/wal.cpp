@@ -2,106 +2,52 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/membership.h"
 #include "net/codec.h"
 
+// Record bodies. Termination kinds carry the full transaction record so a
+// recovering (or joining) site can re-run certification; reconfiguration
+// kinds carry the proposed/agreed view. Payload bytes for writes are elided
+// (serialize_records encodes with after-value width 0): replay never reads
+// after-values.
+namespace gdur::net::codec {
+
+void fields(auto& f, Is<core::MembershipView> auto& v) {
+  f.varint(v.epoch);
+  f(v.members);
+}
+
+void fields(auto& f, Is<store::WalRecord> auto& rec) {
+  using Kind = store::WalRecord::Kind;
+  f(rec.kind);
+  f.check([&rec] { return rec.kind <= Kind::kReconfigAbort; });
+  f(rec.txn);
+  f(rec.flag);
+  f.varint(rec.epoch);
+  if (rec.kind >= Kind::kReconfigPrepare) {
+    f.opt(rec.payload, as<core::MembershipView>);
+  } else {
+    f.opt(rec.payload, as<core::TxnRecord>);
+  }
+}
+
+}  // namespace gdur::net::codec
+
 namespace gdur::store {
 
 namespace {
 
-std::uint32_t fnv1a32(const std::uint8_t* data, std::size_t n) {
+std::uint32_t fnv1a32(std::span<const std::uint8_t> data) {
   std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
+  for (std::uint8_t b : data) {
+    h ^= b;
     h *= 16777619u;
   }
   return h;
-}
-
-// Record bodies. Termination kinds carry the full transaction record so a
-// recovering (or joining) site can re-run certification; reconfiguration
-// kinds carry the proposed/agreed view. Payload bytes for writes are elided
-// (length marker 0): replay never reads after-values.
-void encode_body(net::codec::Writer& w, const WalRecord& rec) {
-  w.u8(static_cast<std::uint8_t>(rec.kind));
-  w.u32(rec.txn.coord);
-  w.varint(rec.txn.seq);
-  w.u8(rec.flag ? 1 : 0);
-  w.varint(rec.epoch);
-  switch (rec.kind) {
-    case WalRecord::Kind::kDeliver:
-    case WalRecord::Kind::kVote:
-    case WalRecord::Kind::kDecision: {
-      const auto* t = static_cast<const core::TxnRecord*>(rec.payload.get());
-      w.u8(t ? 1 : 0);
-      if (t) net::codec::encode_txn(w, *t, /*payload_bytes_per_write=*/0);
-      break;
-    }
-    case WalRecord::Kind::kReconfigPrepare:
-    case WalRecord::Kind::kReconfigCommit:
-    case WalRecord::Kind::kReconfigAbort: {
-      const auto* v =
-          static_cast<const core::MembershipView*>(rec.payload.get());
-      w.u8(v ? 1 : 0);
-      if (v) {
-        w.varint(v->epoch);
-        w.varint(v->members.size());
-        for (SiteId s : v->members) w.u32(s);
-      }
-      break;
-    }
-  }
-}
-
-std::optional<WalRecord> decode_body(net::codec::Reader& r) {
-  const auto kind = r.u8();
-  const auto coord = r.u32();
-  const auto seq = r.varint();
-  const auto flag = r.u8();
-  const auto epoch = r.varint();
-  if (!kind || !coord || !seq || !flag || !epoch) return std::nullopt;
-  if (*kind > static_cast<std::uint8_t>(WalRecord::Kind::kReconfigAbort))
-    return std::nullopt;
-  WalRecord rec;
-  rec.kind = static_cast<WalRecord::Kind>(*kind);
-  rec.txn = TxnId{*coord, *seq};
-  rec.flag = *flag != 0;
-  rec.epoch = static_cast<EpochId>(*epoch);
-  const auto has_payload = r.u8();
-  if (!has_payload) return std::nullopt;
-  if (*has_payload) {
-    switch (rec.kind) {
-      case WalRecord::Kind::kDeliver:
-      case WalRecord::Kind::kVote:
-      case WalRecord::Kind::kDecision: {
-        auto t = net::codec::decode_txn(r);
-        if (!t) return std::nullopt;
-        rec.payload = std::make_shared<const core::TxnRecord>(*std::move(t));
-        break;
-      }
-      case WalRecord::Kind::kReconfigPrepare:
-      case WalRecord::Kind::kReconfigCommit:
-      case WalRecord::Kind::kReconfigAbort: {
-        const auto ve = r.varint();
-        const auto n = r.varint();
-        if (!ve || !n) return std::nullopt;
-        core::MembershipView v;
-        v.epoch = static_cast<EpochId>(*ve);
-        v.members.reserve(std::min<std::uint64_t>(*n, r.remaining()));
-        for (std::uint64_t i = 0; i < *n; ++i) {
-          const auto s = r.u32();
-          if (!s) return std::nullopt;
-          v.members.push_back(*s);
-        }
-        rec.payload = std::make_shared<const core::MembershipView>(std::move(v));
-        break;
-      }
-    }
-  }
-  return rec;
 }
 
 }  // namespace
@@ -111,55 +57,33 @@ std::vector<std::uint8_t> serialize_records(
   net::codec::Writer out;
   for (const auto& rec : records) {
     net::codec::Writer body;
-    encode_body(body, rec);
+    net::codec::encode(body, rec, /*payload_width=*/0);
     out.varint(body.size());
     out.bytes(body.data().data(), body.size());
-    out.u32(fnv1a32(body.data().data(), body.size()));
+    out.u32(fnv1a32(body.data()));
   }
-  return out.data();
+  return out.take();
 }
 
 std::vector<WalRecord> deserialize_records(
     const std::vector<std::uint8_t>& bytes, bool* torn) {
   std::vector<WalRecord> out;
-  if (torn) *torn = false;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    // Length prefix: a torn write can leave a partial varint at the tail.
-    std::uint64_t len = 0;
-    int shift = 0;
-    std::size_t p = pos;
-    bool len_ok = false;
-    while (p < bytes.size() && shift < 64) {
-      const std::uint8_t b = bytes[p++];
-      len |= std::uint64_t{b & 0x7f} << shift;
-      shift += 7;
-      if (!(b & 0x80)) {
-        len_ok = true;
-        break;
-      }
-    }
-    if (!len_ok) break;  // trailing partial length prefix
-    // Overflow-safe bounds check: a corrupted prefix can decode to a length
-    // near 2^64, where `p + len + 4` would wrap around.
-    const std::size_t avail = bytes.size() - p;
-    if (avail < 4 || len > avail - 4) break;  // torn tail
-    const std::uint8_t* body = bytes.data() + p;
-    const std::uint32_t want = fnv1a32(body, static_cast<std::size_t>(len));
-    const std::size_t cpos = p + static_cast<std::size_t>(len);
-    const std::uint32_t got = std::uint32_t{bytes[cpos]} |
-                              std::uint32_t{bytes[cpos + 1]} << 8 |
-                              std::uint32_t{bytes[cpos + 2]} << 16 |
-                              std::uint32_t{bytes[cpos + 3]} << 24;
-    if (want != got) break;  // damaged record: stop at the last good one
-    std::vector<std::uint8_t> body_buf(body, body + len);
-    net::codec::Reader r(body_buf);
-    auto rec = decode_body(r);
+  net::codec::Reader r(bytes);
+  std::size_t left = r.remaining();  // bytes after the last good record
+  while (!r.exhausted()) {
+    // A torn write can leave a partial length prefix, a short body or a
+    // damaged checksum at the tail: replay stops at the last good record.
+    const auto len = r.varint();
+    const auto body = len ? r.bytes(*len) : std::nullopt;
+    const auto sum = r.u32();
+    if (!body || !sum || fnv1a32(*body) != *sum) break;
+    net::codec::Reader br(*body);
+    auto rec = net::codec::decode<WalRecord>(br);
     if (!rec) break;
     out.push_back(*std::move(rec));
-    pos = cpos + 4;
+    left = r.remaining();
   }
-  if (torn && pos != bytes.size()) *torn = true;
+  if (torn) *torn = left != 0;
   return out;
 }
 

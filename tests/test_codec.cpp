@@ -82,9 +82,9 @@ TEST(Codec, StampRoundTrip) {
   s.seq = 123456;
   s.dep = {0, 5, 19, 1ULL << 40};
   Writer w;
-  encode_stamp(w, s);
+  encode(w, s);
   Reader r(w.data());
-  const auto got = decode_stamp(r);
+  const auto got = decode<versioning::Stamp>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->origin, s.origin);
   EXPECT_EQ(got->seq, s.seq);
@@ -98,9 +98,9 @@ TEST(Codec, SnapshotRoundTrip) {
   s.ceil = {5, versioning::kNoCeiling};
   s.start_seq = 77;
   Writer w;
-  encode_snapshot(w, s);
+  encode(w, s);
   Reader r(w.data());
-  const auto got = decode_snapshot(r);
+  const auto got = decode<versioning::TxnSnapshot>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->vts, s.vts);
   EXPECT_EQ(got->floor, s.floor);
@@ -133,9 +133,9 @@ class TxnRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TxnRoundTrip, EncodeDecodeIsIdentity) {
   const auto t = sample_txn(GetParam());
   Writer w;
-  encode_txn(w, t, /*payload=*/64);
+  encode(w, t, /*payload=*/64);
   Reader r(w.data());
-  const auto got = decode_txn(r);
+  const auto got = decode<core::TxnRecord>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->id, t.id);
@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TxnRoundTrip,
 
 TEST(Codec, TxnSizeTracksPayloadAndSets) {
   const auto t = sample_txn(1);
-  const auto small = encoded_txn_size(t, 0);
-  const auto big = encoded_txn_size(t, 1024);
+  const auto small = encoded_size(t, 0);
+  const auto big = encoded_size(t, 1024);
   // Each write carries its payload plus a slightly longer length varint.
   const auto delta = big - small;
   EXPECT_GE(delta, t.ws.size() * 1024);
@@ -169,7 +169,7 @@ TEST(Codec, AnalyticSizesAreSaneApproximations) {
   // net::wire's analytic sizes should be within ~2x of the real encoding
   // for typical transactions (they deliberately round up to stable framing).
   const auto t = sample_txn(2);
-  const auto real = encoded_txn_size(t, wire::kPayload);
+  const auto real = encoded_size(t, wire::kPayload);
   const auto analytic =
       wire::termination(t.rs.size(), t.ws.size(), 8 * t.stamp.dep.size());
   EXPECT_LT(real, analytic * 2);
@@ -182,7 +182,7 @@ TEST(Codec, DecodeGarbageFailsCleanly) {
     std::vector<std::uint8_t> junk(rng.next_below(64));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     Reader r(junk);
-    (void)decode_txn(r);  // must not crash or over-read
+    (void)decode<core::TxnRecord>(r);  // must not crash or over-read
   }
   // Junk bodies behind every inter-site message tag.
   for (std::size_t kind = 0; kind < std::variant_size_v<net::Msg>; ++kind) {
@@ -192,7 +192,7 @@ TEST(Codec, DecodeGarbageFailsCleanly) {
       junk[0] = static_cast<std::uint8_t>(
           static_cast<std::size_t>(MsgType::kMsgBase) + kind);
       Reader r(junk);
-      (void)decode_msg(r);
+      (void)decode<net::Msg>(r);
     }
   }
   SUCCEED();
@@ -285,7 +285,7 @@ net::Msg sample_msg(std::size_t kind, Rng& rng) {
 
 std::vector<std::uint8_t> encoded(const net::Msg& m) {
   Writer w;
-  encode_msg(w, m);
+  encode(w, m);
   return w.data();
 }
 
@@ -328,15 +328,16 @@ TEST_P(LiveMsgRoundTrip, EveryMessageKind) {
     const net::Msg m = sample_msg(kind, rng);
     const auto bytes = encoded(m);
     Reader r(bytes);
-    const auto got = decode_msg(r);
+    const auto got = decode<net::Msg>(r);
     ASSERT_TRUE(got.has_value());
     EXPECT_TRUE(r.exhausted());
     EXPECT_EQ(got->index(), kind);
     // Byte-exact: the decoded message re-encodes to the same frame, so
     // every field that travels survived.
     EXPECT_EQ(encoded(*got), bytes);
-    expect_prefixes_rejected(bytes, [](Reader& rr) { return decode_msg(rr); });
-    bitflip_fuzz(bytes, [](Reader& rr) { return decode_msg(rr); }, rng);
+    const auto dec = [](Reader& rr) { return decode<net::Msg>(rr); };
+    expect_prefixes_rejected(bytes, dec);
+    bitflip_fuzz(bytes, dec, rng);
   }
 }
 
@@ -344,34 +345,34 @@ TEST_P(LiveMsgRoundTrip, ControlMsg) {
   Rng rng(GetParam());
   const ControlMsg m{rng.next_below(16), rng.next_below(1ULL << 32)};
   Writer w;
-  encode_control(w, m);
+  encode(w, m);
   Reader r(w.data());
-  const auto got = decode_control(r);
+  const auto got = decode<ControlMsg>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->kind, m.kind);
   EXPECT_EQ(got->arg, m.arg);
-  expect_prefixes_rejected(w.data(),
-                           [](Reader& rr) { return decode_control(rr); });
-  bitflip_fuzz(w.data(), [](Reader& rr) { return decode_control(rr); }, rng);
+  const auto dec = [](Reader& rr) { return decode<ControlMsg>(rr); };
+  expect_prefixes_rejected(w.data(), dec);
+  bitflip_fuzz(w.data(), dec, rng);
 }
 
 TEST_P(LiveMsgRoundTrip, VersionStandalone) {
   Rng rng(GetParam());
   const auto v = sample_version(rng);
   Writer w;
-  encode_version(w, v);
+  encode(w, v);
   Reader r(w.data());
-  const auto got = decode_version(r);
+  const auto got = decode<store::Version>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->writer, v.writer);
   EXPECT_EQ(got->pidx, v.pidx);
   EXPECT_EQ(got->commit_time, v.commit_time);
   expect_stamp_eq(got->stamp, v.stamp);
-  expect_prefixes_rejected(w.data(),
-                           [](Reader& rr) { return decode_version(rr); });
-  bitflip_fuzz(w.data(), [](Reader& rr) { return decode_version(rr); }, rng);
+  const auto dec = [](Reader& rr) { return decode<store::Version>(rr); };
+  expect_prefixes_rejected(w.data(), dec);
+  bitflip_fuzz(w.data(), dec, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveMsgRoundTrip,
@@ -386,12 +387,12 @@ TEST(Codec, BoolFieldsRejectNonBooleanBytes) {
   auto buf = encoded(net::VoteMsg{t, true});
   buf[buf.size() - 1] = 2;  // vote byte is last
   Reader r(buf);
-  EXPECT_FALSE(decode_msg(r).has_value());
+  EXPECT_FALSE(decode<net::Msg>(r).has_value());
 
   auto buf2 = encoded(net::DecisionMsg{t, false});
   buf2[buf2.size() - 1] = 0xff;
   Reader r2(buf2);
-  EXPECT_FALSE(decode_msg(r2).has_value());
+  EXPECT_FALSE(decode<net::Msg>(r2).has_value());
 }
 
 TEST(Codec, ReadReplyRejectsOverlongPayloadMarker) {
@@ -400,7 +401,7 @@ TEST(Codec, ReadReplyRejectsOverlongPayloadMarker) {
       1, true, std::make_shared<const store::Version>()});
   buf.resize(buf.size() - 32);
   Reader r(buf);
-  EXPECT_FALSE(decode_msg(r).has_value());
+  EXPECT_FALSE(decode<net::Msg>(r).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ TEST(WireSizes, EveryMessageKindBracketsItsRealEncoding) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Writer wc;
     wc.u8(static_cast<std::uint8_t>(MsgType::kControl));
-    encode_control(wc, {seed, rng.next_below(1 << 30)});
+    encode(wc, ControlMsg{seed, rng.next_below(1 << 30)});
     EXPECT_LE(wc.size() + kFraming, wire::control());
     EXPECT_LE(wire::control(), (wc.size() + kFraming) * 8);
   }
@@ -466,7 +467,7 @@ TEST(WireSizes, TerminationWithinTwoXForAllSeeds) {
   // seed): the 2x bracket holds across the whole sample family.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto t = sample_txn(seed);
-    const auto real = encoded_txn_size(t, wire::kPayload);
+    const auto real = encoded_size(t, wire::kPayload);
     const auto analytic =
         wire::termination(t.rs.size(), t.ws.size(), 8 * t.stamp.dep.size());
     EXPECT_LT(real, analytic * 2) << "seed " << seed;
@@ -502,9 +503,9 @@ TEST(ClientCodec, HelloRoundTrip) {
   m.version = 1;
   m.site_hint = 2;
   Writer w;
-  encode_client_hello(w, m);
+  encode(w, m);
   Reader r(w.data());
-  const auto got = decode_client_hello(r);
+  const auto got = decode<ClientHelloMsg>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->version, m.version);
@@ -518,9 +519,9 @@ TEST(ClientCodec, WelcomeRoundTrip) {
   m.site = 1;
   m.protocol = "Walter";
   Writer w;
-  encode_client_welcome(w, m);
+  encode(w, m);
   Reader r(w.data());
-  const auto got = decode_client_welcome(r);
+  const auto got = decode<ClientWelcomeMsg>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->session, m.session);
@@ -534,9 +535,9 @@ TEST(ClientCodec, ReqRoundTripAllOps) {
   for (int trial = 0; trial < 32; ++trial) {
     const auto m = sample_req(rng);
     Writer w;
-    encode_client_req(w, m);
+    encode(w, m);
     Reader r(w.data());
-    const auto got = decode_client_req(r);
+    const auto got = decode<ClientReqMsg>(r);
     ASSERT_TRUE(got.has_value());
     EXPECT_TRUE(r.exhausted());
     EXPECT_EQ(got->cookie, m.cookie);
@@ -556,9 +557,9 @@ TEST(ClientCodec, RespAndPushbackRoundTrip) {
   m.txn = 1234;
   m.payload_bytes = 4096;
   Writer w;
-  encode_client_resp(w, m);
+  encode(w, m);
   Reader r(w.data());
-  const auto got = decode_client_resp(r);
+  const auto got = decode<ClientRespMsg>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(got->cookie, m.cookie);
@@ -571,9 +572,9 @@ TEST(ClientCodec, RespAndPushbackRoundTrip) {
   p.stop = true;
   p.depth = 777;
   Writer wp;
-  encode_pushback(wp, p);
+  encode(wp, p);
   Reader rp(wp.data());
-  const auto gp = decode_pushback(rp);
+  const auto gp = decode<PushbackMsg>(rp);
   ASSERT_TRUE(gp.has_value());
   EXPECT_TRUE(rp.exhausted());
   EXPECT_EQ(gp->stop, p.stop);
@@ -601,11 +602,11 @@ TEST(ClientCodec, TruncationAnywhereYieldsNullopt) {
   pb.depth = 3;
 
   Writer wh, ww, wr, ws, wp;
-  encode_client_hello(wh, h);
-  encode_client_welcome(ww, wl);
-  encode_client_req(wr, req);
-  encode_client_resp(ws, resp);
-  encode_pushback(wp, pb);
+  encode(wh, h);
+  encode(ww, wl);
+  encode(wr, req);
+  encode(ws, resp);
+  encode(wp, pb);
 
   auto expect_prefixes_fail = [](const std::vector<std::uint8_t>& full,
                                  auto decode, const char* what) {
@@ -617,19 +618,19 @@ TEST(ClientCodec, TruncationAnywhereYieldsNullopt) {
     }
   };
   expect_prefixes_fail(wh.data(), [](Reader& r) {
-    return decode_client_hello(r);
+    return decode<ClientHelloMsg>(r);
   }, "hello");
   expect_prefixes_fail(ww.data(), [](Reader& r) {
-    return decode_client_welcome(r);
+    return decode<ClientWelcomeMsg>(r);
   }, "welcome");
   expect_prefixes_fail(wr.data(), [](Reader& r) {
-    return decode_client_req(r);
+    return decode<ClientReqMsg>(r);
   }, "req");
   expect_prefixes_fail(ws.data(), [](Reader& r) {
-    return decode_client_resp(r);
+    return decode<ClientRespMsg>(r);
   }, "resp");
   expect_prefixes_fail(wp.data(), [](Reader& r) {
-    return decode_pushback(r);
+    return decode<PushbackMsg>(r);
   }, "pushback");
 }
 
@@ -640,27 +641,27 @@ TEST(ClientCodec, GarbageFuzzNeverCrashes) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
     {
       Reader r(junk);
-      (void)decode_client_hello(r);
+      (void)decode<ClientHelloMsg>(r);
     }
     {
       Reader r(junk);
-      (void)decode_client_welcome(r);
+      (void)decode<ClientWelcomeMsg>(r);
     }
     {
       Reader r(junk);
-      (void)decode_client_req(r);
+      (void)decode<ClientReqMsg>(r);
     }
     {
       Reader r(junk);
-      (void)decode_client_resp(r);
+      (void)decode<ClientRespMsg>(r);
     }
     {
       Reader r(junk);
-      (void)decode_pushback(r);
+      (void)decode<PushbackMsg>(r);
     }
     {
       Reader r(junk);
-      (void)decode_batch(r);
+      (void)decode<Batch>(r);
     }
   }
   SUCCEED();
@@ -677,9 +678,9 @@ TEST(BatchCodec, RoundTripPreservesOrderAndBytes) {
   std::vector<std::vector<std::uint8_t>> items;
   for (int i = 0; i < 17; ++i) items.push_back(tagged_vote_frame(rng));
   Writer w;
-  encode_batch(w, items);
+  encode(w, items);
   Reader r(w.data());
-  const auto got = decode_batch(r);
+  const auto got = decode<Batch>(r);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(*got, items);  // byte-exact, order preserved
@@ -692,17 +693,17 @@ TEST(BatchCodec, RejectsNestedBatchAndEmptyItems) {
   nested.push_back(tagged_vote_frame(rng));
   nested.push_back({static_cast<std::uint8_t>(MsgType::kBatch), 1, 1, 0});
   Writer wn;
-  encode_batch(wn, nested);
+  encode(wn, nested);
   Reader rn(wn.data());
-  EXPECT_FALSE(decode_batch(rn).has_value());
+  EXPECT_FALSE(decode<Batch>(rn).has_value());
 
   // Zero-length items are rejected too.
   std::vector<std::vector<std::uint8_t>> empty_item;
   empty_item.push_back({});
   Writer we;
-  encode_batch(we, empty_item);
+  encode(we, empty_item);
   Reader re(we.data());
-  EXPECT_FALSE(decode_batch(re).has_value());
+  EXPECT_FALSE(decode<Batch>(re).has_value());
 }
 
 TEST(BatchCodec, TruncationAnywhereYieldsNullopt) {
@@ -710,13 +711,13 @@ TEST(BatchCodec, TruncationAnywhereYieldsNullopt) {
   std::vector<std::vector<std::uint8_t>> items;
   for (int i = 0; i < 3; ++i) items.push_back(tagged_vote_frame(rng));
   Writer w;
-  encode_batch(w, items);
+  encode(w, items);
   const auto& full = w.data();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> pre(full.begin(),
                                   full.begin() + static_cast<long>(cut));
     Reader r(pre);
-    EXPECT_FALSE(decode_batch(r).has_value()) << "cut=" << cut;
+    EXPECT_FALSE(decode<Batch>(r).has_value()) << "cut=" << cut;
   }
 }
 

@@ -28,8 +28,13 @@ std::optional<bool> run_txn(Cluster& cl, SiteId coord,
   auto result = std::make_shared<std::optional<bool>>();
   cl.simulator().at(start, [&cl, coord, reads, writes, result] {
     cl.begin(coord, [&cl, coord, reads, writes, result](MutTxnPtr t) {
+      // The lambda reaches itself through a weak pointer: a strong one
+      // would be a cycle that leaks every transaction this helper drives.
+      // The pending read/write callback holds the only strong reference.
       auto step = std::make_shared<std::function<void(std::size_t)>>();
-      *step = [&cl, coord, reads, writes, result, t, step](std::size_t i) {
+      *step = [&cl, coord, reads, writes, result, t,
+               self = std::weak_ptr(step)](std::size_t i) {
+        const auto step = self.lock();
         if (i < reads.size()) {
           cl.read(coord, t, reads[i], [result, step, i](bool ok) {
             if (!ok) {

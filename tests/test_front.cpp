@@ -390,7 +390,7 @@ TEST(FrontEndToEnd, WindowViolatorIsDisconnectedNotBuffered) {
   ASSERT_GE(fd, 0);
   codec::Writer hello;
   hello.u8(static_cast<std::uint8_t>(codec::MsgType::kClientHello));
-  codec::encode_client_hello(hello, {});
+  codec::encode(hello, codec::ClientHelloMsg{});
   ASSERT_TRUE(send_raw_frame(fd, hello.data()));
   ASSERT_FALSE(read_raw_frame(fd).empty());  // welcome
 
@@ -399,10 +399,10 @@ TEST(FrontEndToEnd, WindowViolatorIsDisconnectedNotBuffered) {
   for (std::uint64_t i = 0; i < 200; ++i) {
     codec::Writer w;
     w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientReq));
-    codec::encode_client_req(
-        w, {i + 1, codec::ClientOp::kStored, 0, 0,
-            {static_cast<ObjectId>(i % 32)},
-            {static_cast<ObjectId>(32 + i % 32)}});
+    codec::encode(
+        w, codec::ClientReqMsg{i + 1, codec::ClientOp::kStored, 0, 0,
+                               {static_cast<ObjectId>(i % 32)},
+                               {static_cast<ObjectId>(32 + i % 32)}});
     if (!send_raw_frame(fd, w.data())) break;  // server already cut us off
   }
   // EOF (empty frame) must arrive: read whatever responses were produced
@@ -437,7 +437,7 @@ TEST(FrontEndToEnd, NeverReadingClientIsPausedWithBoundedMemory) {
                       sizeof(addr)), 0);
   codec::Writer hello;
   hello.u8(static_cast<std::uint8_t>(codec::MsgType::kClientHello));
-  codec::encode_client_hello(hello, {});
+  codec::encode(hello, codec::ClientHelloMsg{});
   ASSERT_TRUE(send_raw_frame(cfd, hello.data()));
 
   // Flood read-only stored txns, reading NOTHING back, non-blocking: once
@@ -451,8 +451,10 @@ TEST(FrontEndToEnd, NeverReadingClientIsPausedWithBoundedMemory) {
   while (sent < kMaxReqs && stalls < 200) {
     codec::Writer w;
     w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientReq));
-    codec::encode_client_req(w, {sent + 1, codec::ClientOp::kStored, 0, 0,
-                                 {static_cast<ObjectId>(sent % 128)}, {}});
+    codec::encode(w, codec::ClientReqMsg{sent + 1, codec::ClientOp::kStored,
+                                         0, 0,
+                                         {static_cast<ObjectId>(sent % 128)},
+                                         {}});
     std::vector<std::uint8_t> frame;
     const auto n = static_cast<std::uint32_t>(w.size());
     frame = {static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),

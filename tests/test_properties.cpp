@@ -19,20 +19,6 @@
 namespace gdur {
 namespace {
 
-const char* criterion_of(const std::string& protocol) {
-  if (protocol == "P-Store" || protocol == "S-DUR" ||
-      protocol == "P-Store+2PC" || protocol == "P-Store-FT" ||
-      protocol == "P-Store-LA") {
-    return "SER";
-  }
-  if (protocol == "GMU") return "US";
-  if (protocol == "Serrano") return "SI";
-  if (protocol == "Walter") return "PSI";
-  if (protocol == "Jessy2pc") return "NMSI";
-  if (protocol == "RAMP") return "RA";
-  return "RC";  // RC, GMU*, GMU** (the ablations give up snapshot guarantees)
-}
-
 struct PropertyRun {
   checker::History history;
   harness::Metrics metrics;
@@ -89,8 +75,8 @@ TEST_P(ProtocolProperty, UpholdsItsConsistencyCriterion) {
   const auto rc = run->history.check_read_committed();
   EXPECT_TRUE(rc.ok) << name << ": " << rc.detail;
   // ... plus the protocol's own criterion.
-  const auto res = run->history.check_criterion(criterion_of(name));
-  EXPECT_TRUE(res.ok) << name << " violates " << criterion_of(name) << ": "
+  const auto res = run->history.check_criterion(spec.criterion);
+  EXPECT_TRUE(res.ok) << name << " violates " << spec.criterion << ": "
                       << res.detail;
 }
 
@@ -116,7 +102,7 @@ TEST_P(DtProperty, CriterionHoldsUnderReplication) {
   const auto run =
       run_history(spec, workload::WorkloadSpec::A(0.8), 3, /*replication=*/2);
   EXPECT_GT(run->history.committed_count(), 200u);
-  const auto res = run->history.check_criterion(criterion_of(GetParam()));
+  const auto res = run->history.check_criterion(spec.criterion);
   EXPECT_TRUE(res.ok) << GetParam() << ": " << res.detail;
 }
 

@@ -2,6 +2,9 @@
 // predicates, and the six protocol definitions of §6.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/protocol_spec.h"
 #include "protocols/protocols.h"
 
@@ -167,6 +170,17 @@ TEST(ProtocolRegistry, ResolvesEveryName) {
     EXPECT_EQ(protocols::by_name(name).name, name);
   }
   EXPECT_THROW(protocols::by_name("nope"), std::invalid_argument);
+}
+
+TEST(ProtocolRegistry, EveryProtocolClaimsACheckableCriterion) {
+  const std::pair<const char*, std::string> claims[] = {
+      {"P-Store", "SER"},     {"S-DUR", "SER"},      {"GMU", "US"},
+      {"Serrano", "SI"},      {"Walter", "PSI"},     {"Jessy2pc", "NMSI"},
+      {"RC", "RC"},           {"RAMP", "RA"},        {"GMU*", "RC"},
+      {"GMU**", "RC"},        {"P-Store-LA", "SER"}, {"P-Store+2PC", "SER"},
+      {"P-Store-FT", "SER"},  {"P-Store+Paxos", "SER"}};
+  for (const auto& [name, criterion] : claims)
+    EXPECT_EQ(protocols::by_name(name).criterion, criterion) << name;
 }
 
 }  // namespace

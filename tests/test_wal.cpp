@@ -215,7 +215,7 @@ TEST(WalCodec, GarbageKindByteRejectsRecord) {
   auto good = serialize_records({term_record(WalRecord::Kind::kVote, 1, 5,
                                              true, 0)});
   // Hand-build a "record" whose body is one byte of garbage kind, with a
-  // valid length prefix and checksum — decode_body must reject it.
+  // valid length prefix and checksum — decoding must reject it.
   std::vector<std::uint8_t> bytes = good;
   const std::uint8_t body = 0xee;
   std::uint32_t h = 2166136261u;
