@@ -32,6 +32,28 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput);
 
+/// One near-term event that reschedules itself `gap` later.
+struct Hop {
+  sim::Simulator* sim;
+  SimDuration gap;
+  void operator()() const { sim->after(gap, Hop{sim, gap}); }
+};
+
+// The sim-fig3 shape: ~50k far-future timers (termination GC) stay pending
+// under a stream of near-term events, so every push and pop walks a deep
+// heap. 64 hops in flight, one event per simulated nanosecond.
+void BM_SimulatorEventThroughputDeepQueue(benchmark::State& state) {
+  sim::Simulator sim;
+  for (int i = 0; i < 50'000; ++i) sim.at(seconds(3600) + i, [] {});
+  for (int i = 0; i < 64; ++i) sim.at(i, Hop{&sim, 64});
+  const std::uint64_t before = sim.events_processed();
+  for (auto _ : state) sim.run_until(sim.now() + 10'000);
+  benchmark::DoNotOptimize(sim.now());
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sim.events_processed() - before));
+}
+BENCHMARK(BM_SimulatorEventThroughputDeepQueue);
+
 void BM_CpuCharge(benchmark::State& state) {
   sim::Simulator sim;
   sim::CpuResource cpu(sim, 4);
@@ -110,8 +132,7 @@ class SkeenPort final : public comm::Port {
         },
         cls);
   }
-  void run_after(SiteId /*at*/, SimDuration delay,
-                 std::function<void()> fn) override {
+  void run_after(SiteId /*at*/, SimDuration delay, Task fn) override {
     net_.simulator().after(delay, std::move(fn));
   }
   [[nodiscard]] bool site_down(SiteId /*s*/) const override { return false; }

@@ -11,6 +11,7 @@
 #include <functional>
 
 #include "common/sim_time.h"
+#include "common/task.h"
 #include "common/types.h"
 #include "net/msg.h"
 
@@ -26,8 +27,7 @@ class Port {
   /// A self-send is queued like any other message, never run inline.
   virtual void send(SiteId from, SiteId to, net::Msg m) = 0;
   /// Runs `fn` on site `at`'s execution context after `delay`.
-  virtual void run_after(SiteId at, SimDuration delay,
-                         std::function<void()> fn) = 0;
+  virtual void run_after(SiteId at, SimDuration delay, Task fn) = 0;
   /// Is site `s` crashed right now?
   [[nodiscard]] virtual bool site_down(SiteId s) const = 0;
   /// True when the deployment can lose messages (a fault plan is

@@ -65,6 +65,7 @@ void SkeenMulticast::on_step1(SiteId at, const net::McastPtr& msg) {
   p.msg = msg;
   p.proposals_needed = static_cast<int>(proposers.size());
   if (is_proposer) p.bound = TsKey{st.clock, at};
+  st.order.emplace(order_key(p), id);
 
   // Apply proposals that raced ahead of the message.
   if (auto it = st.early.find(id); it != st.early.end()) {
@@ -118,8 +119,10 @@ void SkeenMulticast::on_proposal(SiteId at, std::uint64_t id, TsKey prop) {
       p.proposed_from.end())
     return;  // a recovery re-send of a proposal already counted
   p.proposed_from.push_back(prop.site);
+  const TsKey old = order_key(p);
   p.final_key = std::max(p.final_key, prop);
   p.bound = std::max(p.bound, prop);  // lower bound on the final key
+  refile(st, id, old, p);
   if (static_cast<int>(p.proposed_from.size()) == p.proposals_needed)
     finalize(at, p);
 }
@@ -133,7 +136,9 @@ void SkeenMulticast::finalize(SiteId at, Pending& p) {
     port_.send(at, witness(at),
                net::SkeenWitness{.id = p.msg->id, .delivery = true});
   } else {
+    const TsKey old = order_key(p);
     p.finalized = true;
+    refile(st, p.msg->id, old, p);
     try_deliver(at);
   }
 }
@@ -148,8 +153,10 @@ void SkeenMulticast::on(SiteId from, SiteId at, const net::SkeenWitness& m) {
   if (it == states_[at].pending.end()) return;
   Pending& p = it->second;
   if (m.delivery) {
+    const TsKey old = order_key(p);
     p.finalized = true;
     p.delivered_blocked = false;
+    refile(states_[at], m.id, old, p);
     try_deliver(at);
     return;
   }
@@ -159,25 +166,28 @@ void SkeenMulticast::on(SiteId from, SiteId at, const net::SkeenWitness& m) {
   send_proposal(at, m.id, p.my_prop, msg->dests);
 }
 
+void SkeenMulticast::refile(SiteState& st, std::uint64_t id, TsKey old,
+                            const Pending& p) {
+  const TsKey now = order_key(p);
+  if (now == old) return;
+  auto node = st.order.extract({old, id});
+  node.value().first = now;
+  st.order.insert(std::move(node));
+}
+
 void SkeenMulticast::try_deliver(SiteId at) {
   SiteState& st = states_[at];
-  for (;;) {
-    // The candidate is the pending message with the smallest key, where a
-    // finalized message is keyed by its final timestamp and an unfinalized
-    // one by this site's proposal (a lower bound on its eventual final key).
-    const Pending* best = nullptr;
-    TsKey best_key{};
-    for (const auto& [id, p] : st.pending) {  // gdur-lint: allow(determinism/unordered-iter) min over unique (ts, site) keys — any order yields the same minimum
-      const TsKey key = p.finalized ? p.final_key : p.bound;
-      if (best == nullptr || key < best_key) {
-        best = &p;
-        best_key = key;
-      }
-    }
-    if (best == nullptr || !best->finalized || best->delivered_blocked) return;
-    const net::McastPtr msg = best->msg;
-    remember_final(st, msg->id, best->final_key);
-    st.pending.erase(msg->id);
+  // The candidate is the pending message with the smallest order key; it
+  // delivers once finalized, and nothing behind it may overtake it.
+  while (!st.order.empty()) {
+    const std::uint64_t id = st.order.begin()->second;
+    auto it = st.pending.find(id);
+    const Pending& p = it->second;
+    if (!p.finalized || p.delivered_blocked) return;
+    const net::McastPtr msg = p.msg;
+    remember_final(st, id, p.final_key);
+    st.order.erase(st.order.begin());
+    st.pending.erase(it);
     deliver_(at, *msg);
   }
 }
@@ -258,10 +268,12 @@ void SkeenMulticast::on_final_key(SiteId at, std::uint64_t id, TsKey key) {
   Pending& p = it->second;
   if (p.finalized && !p.delivered_blocked) return;
   st.clock = std::max(st.clock, key.ts);
+  const TsKey old = order_key(p);
   p.final_key = key;
   p.bound = key;
   p.finalized = true;
   p.delivered_blocked = false;
+  refile(st, id, old, p);
   try_deliver(at);
 }
 

@@ -35,7 +35,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "comm/port.h"
@@ -83,9 +85,20 @@ class SkeenMulticast {
     int proposals_needed = 0;
   };
 
+  /// Where a pending message sorts for delivery: its final key once
+  /// finalized, else its bound (a lower bound on that final key).
+  static TsKey order_key(const Pending& p) {
+    return p.finalized ? p.final_key : p.bound;
+  }
+
   struct SiteState {
     std::uint64_t clock = 0;
     std::unordered_map<std::uint64_t, Pending> pending;  // msg id -> state
+    // (order_key, id) of every pending message: the delivery candidate is
+    // the first entry. Keys of distinct messages differ (see TsKey) except
+    // the {0, 0} bound of messages no proposal has reached yet, which are
+    // unfinalized and so never delivered ahead of anything.
+    std::set<std::pair<TsKey, std::uint64_t>> order;
     // Proposals that arrived before the message itself (links from distinct
     // sources are not mutually ordered).
     std::unordered_map<std::uint64_t, std::vector<TsKey>> early;
@@ -101,6 +114,10 @@ class SkeenMulticast {
                      const std::vector<SiteId>& dests);
   void on_proposal(SiteId at, std::uint64_t id, TsKey prop);
   void finalize(SiteId at, Pending& p);
+  /// Moves `id` to its new place in st.order after its order key changed
+  /// from `old`.
+  static void refile(SiteState& st, std::uint64_t id, TsKey old,
+                     const Pending& p);
   void try_deliver(SiteId at);
 
   // --- crash recovery (active only when the port can lose messages) ---

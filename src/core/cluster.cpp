@@ -184,13 +184,11 @@ SiteId Cluster::cert_leader(PartitionId p, EpochId e) const {
 // Transport/scheduler seam — simulator backend.
 // ---------------------------------------------------------------------------
 
-void Cluster::run_after(SiteId /*at*/, SimDuration delay,
-                        std::function<void()> fn) {
+void Cluster::run_after(SiteId /*at*/, SimDuration delay, Task fn) {
   sim_.after(delay, std::move(fn));
 }
 
-void Cluster::run_local(SiteId at, SimDuration service,
-                        std::function<void()> fn) {
+void Cluster::run_local(SiteId at, SimDuration service, Task fn) {
   net_->local_work(at, service, std::move(fn));
 }
 
@@ -200,10 +198,11 @@ void Cluster::run_certify(SiteId at, const TxnPtr& t, SimDuration service,
   if (!shard_lanes_enabled()) {
     // Serial pipeline: one local-work charge, verdict computed inline —
     // byte-identical to the pre-sharding cast_vote schedule.
-    run_local(at, service,
-              [compute = std::move(compute), done = std::move(done)] {
-                done(compute());
-              });
+    auto certify = [compute = std::move(compute), done = std::move(done)] {
+      done(compute());
+    };
+    static_assert(Task::fits_inline<decltype(certify)>);
+    run_local(at, service, std::move(certify));
     return;
   }
   // Per-shard lanes: the charge occupies the lanes of every touched shard
@@ -289,9 +288,9 @@ void Cluster::send(SiteId from, SiteId to, net::Msg m) {
 void Cluster::ship(SiteId from, SiteId to, net::Msg m) {
   const std::uint64_t bytes = net::wire_size(m, meta_bytes());
   const obs::MsgClass cls = net::msg_class(m);
-  net_->send(
-      from, to, bytes,
-      [this, from, to, m = std::move(m)] { receive(from, to, m); }, cls);
+  auto deliver = [this, from, to, m = std::move(m)] { receive(from, to, m); };
+  static_assert(Task::fits_inline<decltype(deliver)>);
+  net_->send(from, to, bytes, std::move(deliver), cls);
 }
 
 void Cluster::receive(SiteId from, SiteId to, const net::Msg& m) {
@@ -400,13 +399,11 @@ void Cluster::commit(SiteId coord, const MutTxnPtr& t,
                  });
 }
 
-void Cluster::client_request(SiteId coord, std::uint64_t bytes,
-                             std::function<void()> fn) {
+void Cluster::client_request(SiteId coord, std::uint64_t bytes, Task fn) {
   net_->client_send(coord, bytes, std::move(fn));
 }
 
-void Cluster::client_reply(SiteId coord, std::uint64_t bytes,
-                           std::function<void()> fn) {
+void Cluster::client_reply(SiteId coord, std::uint64_t bytes, Task fn) {
   net_->send_to_client(coord, bytes, std::move(fn));
 }
 

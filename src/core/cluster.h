@@ -128,12 +128,10 @@ class Cluster : public comm::Port {
   /// Current time: virtual simulated time here, wall clock in live mode.
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
   /// Runs `fn` on site `at`'s execution context after `delay`.
-  void run_after(SiteId at, SimDuration delay,
-                 std::function<void()> fn) override;
+  void run_after(SiteId at, SimDuration delay, Task fn) override;
   /// Runs `fn` on site `at` after charging `service` CPU time (live mode
   /// spends real CPU instead and ignores the analytic charge).
-  virtual void run_local(SiteId at, SimDuration service,
-                         std::function<void()> fn);
+  virtual void run_local(SiteId at, SimDuration service, Task fn);
   /// Certification seam (DESIGN.md §14): evaluates `compute()` for `t` on
   /// site `at` after charging `service`, then feeds the verdict to `done`
   /// on the site's execution context. The serial path (shards_per_site = 1
@@ -312,11 +310,9 @@ class Cluster : public comm::Port {
   void receive(SiteId from, SiteId to, const net::Msg& m);
   /// Scheduler seam, client side: a request of `bytes` from the client
   /// co-located with `coord` reaches the coordinator, where `fn` runs...
-  virtual void client_request(SiteId coord, std::uint64_t bytes,
-                              std::function<void()> fn);
+  virtual void client_request(SiteId coord, std::uint64_t bytes, Task fn);
   /// ...and a reply of `bytes` travels back to that client, where `fn` runs.
-  virtual void client_reply(SiteId coord, std::uint64_t bytes,
-                            std::function<void()> fn);
+  virtual void client_reply(SiteId coord, std::uint64_t bytes, Task fn);
 
   [[nodiscard]] std::uint64_t term_bytes(const TxnRecord& t) const;
   /// Drives one scheduled membership change: picks a live coordinator and

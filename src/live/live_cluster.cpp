@@ -337,18 +337,17 @@ SimTime LiveCluster::now() const {
       .count();
 }
 
-void LiveCluster::run_after(SiteId at, SimDuration delay,
-                            std::function<void()> fn) {
-  wheel_.schedule_after(std::chrono::nanoseconds(delay),
-                        [this, at, fn = std::move(fn)]() mutable {
-                          post(at, std::move(fn));
-                        });
+void LiveCluster::run_after(SiteId at, SimDuration delay, Task fn) {
+  wheel_.schedule_after(
+      std::chrono::nanoseconds(delay),
+      [this, at, fn = std::move(fn).into_function()]() mutable {
+        post(at, std::move(fn));
+      });
 }
 
-void LiveCluster::run_local(SiteId at, SimDuration /*service*/,
-                            std::function<void()> fn) {
+void LiveCluster::run_local(SiteId at, SimDuration /*service*/, Task fn) {
   // Real CPU is spent executing the work; the analytic charge is sim-only.
-  post(at, std::move(fn));
+  post(at, std::move(fn).into_function());
 }
 
 void LiveCluster::lock_shards(SiteId at, core::ShardSet s) {
@@ -432,12 +431,12 @@ void LiveCluster::with_apply_exclusion(SiteId at,
 // --- client seam -------------------------------------------------------------
 
 void LiveCluster::client_request(SiteId coord, std::uint64_t /*bytes*/,
-                                 std::function<void()> fn) {
-  post(coord, std::move(fn));
+                                 Task fn) {
+  post(coord, std::move(fn).into_function());
 }
 
 void LiveCluster::client_reply(SiteId /*coord*/, std::uint64_t /*bytes*/,
-                               std::function<void()> fn) {
+                               Task fn) {
   fn();
 }
 

@@ -107,10 +107,10 @@ class LiveCluster : public core::Cluster {
 
   // --- scheduler seam ---------------------------------------------------
   [[nodiscard]] SimTime now() const override;
-  void run_after(SiteId at, SimDuration delay,
-                 std::function<void()> fn) override;
-  void run_local(SiteId at, SimDuration service,
-                 std::function<void()> fn) override;
+  /// The engine hands these a Task; it moves into the std::function the
+  /// mailbox and the timer wheel queue (Task::into_function).
+  void run_after(SiteId at, SimDuration delay, Task fn) override;
+  void run_local(SiteId at, SimDuration service, Task fn) override;
   /// Sharded certification (DESIGN.md §14): posts the verdict computation to
   /// the lead touched shard's worker thread, which takes the touched shard
   /// mutexes in ascending order, evaluates, and posts `done` back to the
@@ -162,10 +162,8 @@ class LiveCluster : public core::Cluster {
  protected:
   /// A client request posts straight onto the coordinator's mailbox; the
   /// reply is a plain call there (clients run on their site's thread).
-  void client_request(SiteId coord, std::uint64_t bytes,
-                      std::function<void()> fn) override;
-  void client_reply(SiteId coord, std::uint64_t bytes,
-                    std::function<void()> fn) override;
+  void client_request(SiteId coord, std::uint64_t bytes, Task fn) override;
+  void client_reply(SiteId coord, std::uint64_t bytes, Task fn) override;
   /// A self-send is posted to the site's mailbox as the struct itself;
   /// anything else is encoded and queued on the (from, to) link. With
   /// coalescing on, a small frame joins the (from, to) batch, which ships at

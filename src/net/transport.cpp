@@ -97,26 +97,29 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
   // fault injection the whole retransmit schedule resolves here too, which
   // keeps the FIFO horizon exact over lossy links.
   const SimTime departure = cpu(src).charge(send_cost);
+  // The handler waits parked; the hops below carry its handle.
+  const sim::Simulator::Handle h = sim_.park(std::move(handler));
   if (src == dst) {
     if (trace_ != nullptr)
       trace_->message(cls, src, dst, departure, departure);
-    sim_.at(departure, [this, dst, recv_cost, handler = std::move(handler)]() mutable {
-      cpu(dst).submit(recv_cost, std::move(handler));
-    });
+    sim_.at(departure,
+            [this, dst, recv_cost, h] { cpu(dst).submit(recv_cost, h); });
     return;
   }
   const auto idx = src * static_cast<SiteId>(topo_.sites()) + dst;
   SimTime reach = departure + link_delay(src, dst, bytes);
   if (fault_ != nullptr) {
     reach = resolve_delivery(src, dst, bytes, departure);
-    if (reach == sim::kNever) return;  // connection declared broken
+    if (reach == sim::kNever) {  // connection declared broken
+      sim_.drop(h);
+      return;
+    }
   }
   const SimTime arrival = std::max(reach, link_clock_[idx]);
   link_clock_[idx] = arrival;
   if (trace_ != nullptr)
     trace_->message(cls, src, dst, departure, arrival);
-  sim_.at(arrival, [this, idx, dst, recv_cost,
-                    handler = std::move(handler)]() mutable {
+  sim_.at(arrival, [this, idx, dst, recv_cost, h] {
     // One connection is drained by one receiver thread: handlers for the
     // same link run in arrival order.
     auto& c = cpu(dst);
@@ -124,6 +127,7 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
       // FIFO serialization pushed the delivery into a crash window: the
       // receiver acknowledged at the transport level but lost the message
       // before the application saw it. Protocol retries must recover it.
+      sim_.drop(h);
       ++fstats_.expired;
       if (trace_ != nullptr)
         trace_->fault(obs::FaultKind::kExpire, dst, kNoSite, sim_.now());
@@ -134,15 +138,16 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
     const SimTime done = c.charge_after(recv_clock_[idx], recv_cost);
     recv_clock_[idx] = done;
     if (fault_ == nullptr) {
-      sim_.at(done, std::move(handler));
+      sim_.at(done, h);
       return;
     }
-    sim_.at(done, [this, dst, e = c.epoch(),
-                   handler = std::move(handler)]() mutable {
-      if (cpu(dst).epoch() == e)
-        handler();
-      else
-        ++fstats_.expired;  // crashed while the handler was queued
+    sim_.at(done, [this, dst, e = c.epoch(), h] {
+      if (cpu(dst).epoch() == e) {
+        sim_.run_parked(h);
+        return;
+      }
+      sim_.drop(h);
+      ++fstats_.expired;  // crashed while the handler was queued
     });
   });
 }
@@ -157,8 +162,8 @@ void Transport::client_send(SiteId dst, std::uint64_t bytes, Handler handler) {
                     sim_.now() + topo_.client_latency());
   const SimDuration recv_cost = cost_.msg_recv + cost_.unmarshal(bytes);
   sim_.after(topo_.client_latency(),
-             [this, dst, recv_cost, handler = std::move(handler)]() mutable {
-               cpu(dst).submit(recv_cost, std::move(handler));
+             [this, dst, recv_cost, h = sim_.park(std::move(handler))] {
+               cpu(dst).submit(recv_cost, h);
              });
 }
 
@@ -171,10 +176,18 @@ void Transport::send_to_client(SiteId src, std::uint64_t bytes,
   if (trace_ != nullptr)
     trace_->message(obs::MsgClass::kClientResp, src, kNoSite, sim_.now(),
                     sim_.now() + topo_.client_latency());
+  // The reply leaves once its send is charged, unless the site crashes
+  // first (the same epoch guard as CpuResource::submit).
+  auto& c = cpu(src);
+  if (c.down_at(sim_.now())) return;
   const SimDuration send_cost = cost_.msg_send + cost_.marshal(bytes);
-  cpu(src).submit(send_cost, [this, handler = std::move(handler)]() mutable {
-    sim_.after(topo_.client_latency(), std::move(handler));
-  });
+  sim_.at(c.charge(send_cost),
+          [this, src, e = c.epoch(), h = sim_.park(std::move(handler))] {
+            if (cpu(src).epoch() == e)
+              sim_.after(topo_.client_latency(), h);
+            else
+              sim_.drop(h);
+          });
 }
 
 void Transport::reset_accounting() {

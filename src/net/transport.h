@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/task.h"
 #include "common/types.h"
 #include "net/topology.h"
 #include "obs/events.h"
@@ -55,7 +55,7 @@ struct FaultStats {
 
 class Transport {
  public:
-  using Handler = std::function<void()>;
+  using Handler = Task;
 
   /// `plane` receives the per-site message and fault counters; not owned,
   /// must outlive the transport.

@@ -15,12 +15,17 @@ SimTime CpuResource::charge_after(SimTime not_before, SimDuration service) {
   return finish;
 }
 
-void CpuResource::submit(SimDuration service, std::function<void()> done) {
-  if (down_at(sim_.now())) return;  // a crashed site accepts no work
-  sim_.at(charge(service),
-          [this, e = epoch_, done = std::move(done)]() mutable {
-            if (e == epoch_) done();  // else: lost in a crash
-          });
+void CpuResource::submit(SimDuration service, Simulator::Handle done) {
+  if (down_at(sim_.now())) {  // a crashed site accepts no work
+    sim_.drop(done);
+    return;
+  }
+  sim_.at(charge(service), [this, e = epoch_, done] {
+    if (e == epoch_)
+      sim_.run_parked(done);
+    else
+      sim_.drop(done);  // lost in a crash
+  });
 }
 
 void CpuResource::block_until(SimTime until) {

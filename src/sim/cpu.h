@@ -9,10 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
+#include "common/task.h"
 #include "sim/simulator.h"
 
 namespace gdur::sim {
@@ -23,7 +24,12 @@ class CpuResource {
       : sim_(simulator), core_free_(static_cast<std::size_t>(cores), 0) {}
 
   /// Runs `done` after `service` time on the first core to free up.
-  void submit(SimDuration service, std::function<void()> done);
+  void submit(SimDuration service, Task done) {
+    submit(service, sim_.park(std::move(done)));
+  }
+  /// Same, for a task already parked in the simulator: a job lost to a
+  /// crash is dropped, never run.
+  void submit(SimDuration service, Simulator::Handle done);
 
   /// Charges `service` time on the first core to free up without scheduling
   /// a completion event; returns the instant the work finishes. Used when

@@ -5,9 +5,16 @@
 // locality experiment of Figure 5). Each partition is replicated at
 // `replication` consecutive sites: replication = 1 is the paper's
 // Disaster-Prone configuration, 2 is Disaster-Tolerant.
+//
+// Placement queries sit on every transaction's path (workload generation,
+// certification, termination fan-out), so the per-object ones never
+// allocate: replica lists are views over a table built once in the
+// constructor, and replicas_of allocates only the vector it returns.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "common/obj_set.h"
@@ -24,6 +31,13 @@ class Partitioner {
         objects_(objects),
         partitions_(static_cast<PartitionId>(sites * partitions_per_site)) {
     assert(replication >= 1 && replication <= sites);
+    table_.reserve(static_cast<std::size_t>(partitions_) *
+                   static_cast<std::size_t>(rf_));
+    for (PartitionId p = 0; p < partitions_; ++p)
+      for (int k = 0; k < rf_; ++k)
+        table_.push_back(static_cast<SiteId>(
+            (primary_of(p) + static_cast<SiteId>(k)) %
+            static_cast<SiteId>(sites_)));
   }
 
   [[nodiscard]] int sites() const { return sites_; }
@@ -40,33 +54,32 @@ class Partitioner {
   }
 
   /// Sites replicating partition `p`: the primary plus the next rf-1 sites.
-  [[nodiscard]] std::vector<SiteId> sites_of(PartitionId p) const {
-    std::vector<SiteId> out;
-    out.reserve(static_cast<std::size_t>(rf_));
-    for (int k = 0; k < rf_; ++k)
-      out.push_back(static_cast<SiteId>((primary_of(p) + static_cast<SiteId>(k)) %
-                                        static_cast<SiteId>(sites_)));
-    return out;
+  [[nodiscard]] std::span<const SiteId> sites_of(PartitionId p) const {
+    return {table_.data() + static_cast<std::size_t>(p) *
+                                static_cast<std::size_t>(rf_),
+            static_cast<std::size_t>(rf_)};
   }
 
-  [[nodiscard]] std::vector<SiteId> replicas_of_object(ObjectId o) const {
+  [[nodiscard]] std::span<const SiteId> replicas_of_object(ObjectId o) const {
     return sites_of(partition_of(o));
   }
 
   [[nodiscard]] bool is_local(SiteId s, ObjectId o) const {
-    for (SiteId r : replicas_of_object(o))
-      if (r == s) return true;
-    return false;
+    const auto r = replicas_of_object(o);
+    return std::find(r.begin(), r.end(), s) != r.end();
   }
 
-  /// Union of replicas over a whole object set (the paper's replicas(obj)).
+  /// Union of replicas over a whole object set (the paper's replicas(obj)),
+  /// in ascending site order.
   [[nodiscard]] std::vector<SiteId> replicas_of(const ObjSet& objs) const {
-    std::vector<bool> in(static_cast<std::size_t>(sites_), false);
-    for (ObjectId o : objs)
-      for (SiteId r : replicas_of_object(o)) in[r] = true;
     std::vector<SiteId> out;
-    for (SiteId s = 0; s < static_cast<SiteId>(sites_); ++s)
-      if (in[s]) out.push_back(s);
+    out.reserve(std::min(static_cast<std::size_t>(sites_),
+                         objs.size() * static_cast<std::size_t>(rf_)));
+    for (ObjectId o : objs)
+      for (SiteId r : replicas_of_object(o))
+        if (std::find(out.begin(), out.end(), r) == out.end())
+          out.push_back(r);
+    std::sort(out.begin(), out.end());
     return out;
   }
 
@@ -97,6 +110,7 @@ class Partitioner {
   int rf_;
   std::uint64_t objects_;
   PartitionId partitions_;
+  std::vector<SiteId> table_;  // rf_ sites per partition, primary first
 };
 
 }  // namespace gdur::store

@@ -49,8 +49,7 @@ class TransportPort final : public Port {
         from, to, bytes,
         [this, from, to, m = std::move(m)] { receive_(from, to, m); }, cls);
   }
-  void run_after(SiteId /*at*/, SimDuration delay,
-                 std::function<void()> fn) override {
+  void run_after(SiteId /*at*/, SimDuration delay, Task fn) override {
     net_.simulator().after(delay, std::move(fn));
   }
   [[nodiscard]] bool site_down(SiteId s) const override {
