@@ -1,8 +1,11 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <cctype>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -46,6 +49,33 @@ inline std::vector<harness::RunResult> run_and_print(
     std::printf("\n");
   }
   return all;
+}
+
+/// HEAD of the source checkout this bench was built from, read at run time
+/// ("unknown" outside a git checkout).
+inline std::string git_sha() {
+  std::string sha;
+  if (FILE* p = popen("git -C '" GDUR_SOURCE_DIR "' rev-parse HEAD 2>/dev/null",
+                      "r")) {
+    for (int c; (c = std::fgetc(p)) != EOF && std::isxdigit(c);)
+      sha += static_cast<char>(c);
+    pclose(p);
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
+/// Writes `points` (one JSON object each) to `path` in the envelope every
+/// root BENCH_*.json shares: {"git_sha", "cores", "points": [...]}.
+inline void write_report(const char* path,
+                         const std::vector<std::string>& points) {
+  std::ofstream out(path, std::ios::binary);
+  out << "{\"git_sha\": \"" << git_sha()
+      << "\", \"cores\": " << std::thread::hardware_concurrency()
+      << ",\n \"points\": [\n";
+  for (std::size_t i = 0; i < points.size(); ++i)
+    out << "  " << points[i] << (i + 1 == points.size() ? "\n" : ",\n");
+  out << "]}\n";
+  std::printf("\n# wrote %zu records to %s\n", points.size(), path);
 }
 
 /// Largest throughput seen across a sweep (the "max throughput" metric of

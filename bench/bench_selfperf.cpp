@@ -12,11 +12,12 @@
 //     regressions on the uncontended path.
 //
 // Output: a human-readable table on stdout and a JSON report
-// (BENCH_selfperf.json by default) with one record per (protocol,
-// scenario): simulated committed txns, wall seconds, committed/wall-s, and
-// simulated events/wall-s. Wall-clock numbers vary with the host; compare
-// ratios against a baseline build on the same machine, not absolute values
-// across machines (see EXPERIMENTS.md).
+// (BENCH_selfperf.json by default; {"git_sha", "cores", "points": [...]})
+// with one point per (protocol, scenario): simulated committed txns, wall
+// seconds, committed/wall-s, and simulated events/wall-s. Wall-clock
+// numbers vary with the host; compare ratios against a baseline build on
+// the same machine, not absolute values across machines (see
+// EXPERIMENTS.md).
 //
 // A third mode (--shards) measures the sharded certification pipeline
 // (DESIGN.md §14) instead of the simulator: committed transactions per
@@ -35,7 +36,6 @@
 //                 simulator-throughput suite
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -79,19 +79,19 @@ SelfPerfResult measure(const std::string& protocol, const std::string& scenario,
   return out;
 }
 
-void append_json(std::string& json, const SelfPerfResult& r, bool last) {
+std::string to_json(const SelfPerfResult& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "  {\"protocol\": \"%s\", \"scenario\": \"%s\", "
+                "{\"protocol\": \"%s\", \"scenario\": \"%s\", "
                 "\"committed\": %llu, \"wall_s\": %.3f, "
                 "\"committed_per_wall_s\": %.1f, "
-                "\"sim_events\": %llu, \"events_per_wall_s\": %.0f}%s\n",
+                "\"sim_events\": %llu, \"events_per_wall_s\": %.0f}",
                 r.protocol.c_str(), r.scenario.c_str(),
                 static_cast<unsigned long long>(r.committed), r.wall_s,
                 r.committed_per_wall_s,
                 static_cast<unsigned long long>(r.events),
-                r.events_per_wall_s, last ? "" : ",");
-  json += buf;
+                r.events_per_wall_s);
+  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -194,23 +194,19 @@ int run_shards_suite(bool short_mode, const char* out_path) {
     points.push_back(p);
   }
 
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  std::vector<std::string> json;
+  for (const auto& p : points) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "  {\"mode\": \"%s\", \"protocol\": \"%s\", \"shards\": %d, "
+                  "{\"mode\": \"%s\", \"protocol\": \"%s\", \"shards\": %d, "
                   "\"committed\": %llu, \"secs\": %.3f, "
-                  "\"committed_per_s\": %.1f, \"speedup_vs_1\": %.3f}%s\n",
-                  points[i].mode.c_str(), protocol.c_str(), points[i].shards,
-                  static_cast<unsigned long long>(points[i].committed),
-                  points[i].secs, points[i].per_s, points[i].speedup,
-                  i + 1 == points.size() ? "" : ",");
-    json += buf;
+                  "\"committed_per_s\": %.1f, \"speedup_vs_1\": %.3f}",
+                  p.mode.c_str(), protocol.c_str(), p.shards,
+                  static_cast<unsigned long long>(p.committed), p.secs,
+                  p.per_s, p.speedup);
+    json.emplace_back(buf);
   }
-  json += "]\n";
-  std::ofstream out(out_path, std::ios::binary);
-  out << json;
-  std::printf("\n# wrote %zu records to %s\n", points.size(), out_path);
+  bench::write_report(out_path, json);
   return 0;
 }
 
@@ -272,12 +268,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i)
-    append_json(json, results[i], i + 1 == results.size());
-  json += "]\n";
-  std::ofstream out(out_path, std::ios::binary);
-  out << json;
-  std::printf("\n# wrote %zu records to %s\n", results.size(), out_path);
+  std::vector<std::string> json;
+  for (const auto& r : results) json.push_back(to_json(r));
+  bench::write_report(out_path, json);
   return 0;
 }

@@ -15,9 +15,10 @@
 //   --secs S          run duration (default 5; 0 = until --txns)
 //   --txns N          stop after N completed transactions (0 = until --secs)
 //   --rate TPS        open-loop Poisson arrivals of one-shot stored
-//                     transactions instead of closed loops; refusals
-//                     (window full / pushback) are counted as shed, never
-//                     queued
+//                     transactions instead of closed loops, paced per flow
+//                     at rate/clients; refusals (window full / pushback /
+//                     lost session) are counted as shed, never queued, and
+//                     latency is timed from each arrival's due time
 //   --stored          closed loop, but one-shot stored txns instead of
 //                     interactive begin/read/write/commit
 //   --workload A|B|C  mix (default A)   --ro R  read-only ratio (default 0.8)
@@ -29,14 +30,15 @@
 //   --json FILE       write the result object to FILE as well as stdout
 //
 // Output: one JSON object with committed/aborted/shed counts, throughput,
-// and client-observed latency percentiles. Exit 0 iff every session
+// client-observed latency percentiles and, for --rate, the arrivals
+// scheduled and issued and the pacer's lag. Exit 0 iff every session
 // connected and at least one transaction committed.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,6 +48,7 @@
 #include "front/client.h"
 #include "front/signals.h"
 #include "harness/metrics.h"
+#include "live/pacer.h"
 #include "store/partitioner.h"
 #include "workload/workload.h"
 
@@ -79,7 +82,7 @@ struct Options {
 struct FlowStats {
   std::mutex mu;
   harness::Metrics m;
-  std::uint64_t shed = 0;
+  live::PaceStats paced;  // open loop only; written by the flow's thread
 
   void done(bool committed, bool read_only, SimDuration lat) {
     std::lock_guard<std::mutex> g(mu);
@@ -146,37 +149,29 @@ void run_stored(front::GdurClient& c, workload::Generator& gen, FlowStats& fs,
   }
 }
 
-/// Open loop: Poisson arrivals of pipelined stored transactions at
-/// rate/flows each. try_submit never blocks — when the window is full or
-/// the server pushed back, the arrival is shed and counted, keeping the
-/// offered rate honest under overload.
+/// Open loop: this flow's share of the arrivals as pipelined stored
+/// transactions. try_submit never blocks — when the window is full, the
+/// server pushed back or the session is gone, the arrival is shed and
+/// counted, keeping the offered rate honest under overload.
 void run_open_loop(front::GdurClient& c, workload::Generator& gen,
-                   FlowStats& fs, const Options& opt, double flow_rate,
-                   Rng& rng) {
-  using clock = std::chrono::steady_clock;
-  auto next_arrival = clock::now();
-  while (!g_stop.load(std::memory_order_relaxed) && !budget_spent(opt)) {
-    const double gap_s =
-        -std::log(1.0 - rng.next_double()) / std::max(flow_rate, 1e-9);
-    next_arrival += std::chrono::nanoseconds(
-        static_cast<std::int64_t>(gap_s * 1e9));
-    std::this_thread::sleep_until(next_arrival);
-    if (g_stop.load(std::memory_order_relaxed)) break;
-    const auto prof = gen.next();
-    const auto t0 = clock::now();
-    const bool ro = prof.read_only;
-    const bool sent = c.try_submit(
-        net::codec::ClientOp::kStored, 0, 0, prof.reads, prof.writes,
-        [&fs, t0, ro](const front::GdurClient::Resp& r) {
-          fs.done(r.ok, ro, since_ns(t0));
-          g_completed.fetch_add(1, std::memory_order_relaxed);
-        });
-    if (!sent) {
-      if (!c.connected()) return;
-      std::lock_guard<std::mutex> g(fs.mu);
-      ++fs.shed;
-    }
-  }
+                   FlowStats& fs, const Options& opt,
+                   std::chrono::steady_clock::time_point epoch,
+                   std::uint64_t seed) {
+  workload::ArrivalSchedule arrivals(opt.rate / opt.clients, seed);
+  fs.paced = live::pace(
+      arrivals, epoch,
+      opt.secs > 0 ? seconds(opt.secs) : std::numeric_limits<SimTime>::max(),
+      [] { return g_stop.load(std::memory_order_relaxed); },
+      [&](SimTime due) {
+        const auto prof = gen.next();
+        const bool ro = prof.read_only;
+        return c.try_submit(
+            net::codec::ClientOp::kStored, 0, 0, prof.reads, prof.writes,
+            [&fs, epoch, due, ro](const front::GdurClient::Resp& r) {
+              fs.done(r.ok, ro, since_ns(epoch) - due);
+              g_completed.fetch_add(1, std::memory_order_relaxed);
+            });
+      });
 }
 
 }  // namespace
@@ -274,21 +269,18 @@ int main(int argc, char** argv) {
                opt.clients, clients[0]->protocol().c_str());
 
   std::vector<FlowStats> stats(static_cast<std::size_t>(opt.clients));
-  std::vector<Rng> rngs;
-  for (int i = 0; i < opt.clients; ++i)
-    rngs.emplace_back(opt.seed * 7919 + static_cast<std::uint64_t>(i));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (int i = 0; i < opt.clients; ++i) {
-    threads.emplace_back([&clients, &stats, &rngs, &part, &spec, &opt, i] {
+    threads.emplace_back([&clients, &stats, &part, &spec, &opt, t0, i] {
       auto& c = *clients[static_cast<std::size_t>(i)];
       auto& fs = stats[static_cast<std::size_t>(i)];
       workload::Generator gen(spec, part, c.site(),
                               opt.seed + static_cast<std::uint64_t>(i));
       if (opt.rate > 0)
-        run_open_loop(c, gen, fs, opt, opt.rate / opt.clients,
-                      rngs[static_cast<std::size_t>(i)]);
+        run_open_loop(c, gen, fs, opt, t0,
+                      opt.seed * 7919 + static_cast<std::uint64_t>(i));
       else if (opt.stored)
         run_stored(c, gen, fs, opt);
       else
@@ -315,11 +307,14 @@ int main(int argc, char** argv) {
   }
 
   harness::Metrics m;
-  std::uint64_t shed = 0;
+  live::PaceStats paced;
   for (auto& fs : stats) {
     std::lock_guard<std::mutex> g(fs.mu);
     m.merge_from(fs.m);
-    shed += fs.shed;
+    paced.scheduled += fs.paced.scheduled;
+    paced.issued += fs.paced.issued;
+    paced.shed += fs.paced.shed;
+    paced.lag.merge_from(fs.paced.lag);
   }
   const double tps =
       wall > 0 ? static_cast<double>(m.committed()) / wall : 0.0;
@@ -329,15 +324,19 @@ int main(int argc, char** argv) {
       buf, sizeof buf,
       "{\"protocol\": \"%s\", \"sites\": %d, \"clients\": %d, "
       "\"mode\": \"%s\", \"offered_tps\": %.1f, \"secs\": %.3f,\n"
+      " \"scheduled\": %llu, \"issued\": %llu, \"lag_p99_ms\": %.3f,\n"
       " \"committed\": %llu, \"aborted\": %llu, \"shed\": %llu, "
       "\"committed_tps\": %.1f, \"pushbacks\": %llu,\n"
       " \"latency_ms\": {\"mean\": %.3f, \"p50\": %.3f, \"p99\": %.3f, "
       "\"max\": %.3f}}\n",
       clients[0]->protocol().c_str(), sites, opt.clients,
       opt.rate > 0 ? "open" : (opt.stored ? "stored" : "interactive"),
-      opt.rate, wall, static_cast<unsigned long long>(m.committed()),
+      opt.rate, wall, static_cast<unsigned long long>(paced.scheduled),
+      static_cast<unsigned long long>(paced.issued),
+      paced.lag.percentile_ms(0.99),
+      static_cast<unsigned long long>(m.committed()),
       static_cast<unsigned long long>(m.aborted()),
-      static_cast<unsigned long long>(shed), tps,
+      static_cast<unsigned long long>(paced.shed), tps,
       static_cast<unsigned long long>(pushbacks), m.txn_latency.mean_ms(),
       m.txn_latency.percentile_ms(0.5), m.txn_latency.percentile_ms(0.99),
       m.txn_latency.max_ms());

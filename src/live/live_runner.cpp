@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "common/rng.h"
 #include "front/signals.h"
 #include "live/live_cluster.h"
+#include "live/pacer.h"
 #include "protocols/protocols.h"
 #include "workload/client.h"
 
@@ -28,100 +28,6 @@ struct SiteCollector {
   harness::Metrics metrics;
   std::vector<checker::TxnOutcome> outcomes;
   std::vector<core::Cluster::InstallEvent> installs;
-};
-
-/// One closed-loop client flow: exactly one interactive transaction in
-/// flight, relaunched from its own completion callback on the
-/// coordinator's mailbox thread.
-struct ClosedLoop : std::enable_shared_from_this<ClosedLoop> {
-  LiveCluster& cl;
-  SiteId site;
-  workload::Generator gen;
-  SiteCollector& col;
-  std::atomic<bool>& running;
-  std::atomic<int>& inflight;
-  workload::TxnObserver observer;
-
-  ClosedLoop(LiveCluster& c, SiteId s, const workload::WorkloadSpec& spec,
-             SiteCollector& sc, std::atomic<bool>& run, std::atomic<int>& inf,
-             std::uint64_t seed)
-      : cl(c),
-        site(s),
-        gen(spec, c.partitioner(), s, seed),
-        col(sc),
-        running(run),
-        inflight(inf) {
-    observer = [this](const core::TxnRecord& t, bool committed) {
-      col.outcomes.push_back({t, committed, cl.now()});
-    };
-  }
-
-  void next() {
-    if (!running.load(std::memory_order_acquire)) {
-      inflight.fetch_sub(1, std::memory_order_acq_rel);
-      return;
-    }
-    auto self = shared_from_this();
-    workload::run_transaction(
-        cl, site, std::make_shared<workload::TxnProfile>(gen.next()),
-        col.metrics, observer, [self] { self->next(); });
-  }
-};
-
-/// Open-loop Poisson source for one site: arrivals fire regardless of
-/// completions, on an absolute schedule paced by the timer-wheel thread.
-/// Each firing releases every arrival already due and posts it to the
-/// site, so neither the wheel's 1 ms ticks nor a backlogged site thread
-/// thin the offered rate (the site's queue shows as latency instead).
-struct OpenLoop : std::enable_shared_from_this<OpenLoop> {
-  LiveCluster& cl;
-  SiteId site;
-  // Only the timer thread touches these four (run_live reads `issued`
-  // once the cluster has stopped).
-  workload::Generator gen;
-  Rng arrivals;
-  SimTime next_due = 0;      // intended time of the next arrival
-  std::uint64_t issued = 0;  // arrivals released so far
-  double rate;  // per-site arrivals per second
-  SiteCollector& col;
-  std::atomic<bool>& running;
-  std::atomic<int>& inflight;
-  workload::TxnObserver observer;
-
-  OpenLoop(LiveCluster& c, SiteId s, const workload::WorkloadSpec& spec,
-           SiteCollector& sc, std::atomic<bool>& run, std::atomic<int>& inf,
-           double site_rate, std::uint64_t seed)
-      : cl(c),
-        site(s),
-        gen(spec, c.partitioner(), s, seed),
-        arrivals(mix64(seed ^ 0xabcdef)),
-        next_due(c.now()),
-        rate(site_rate),
-        col(sc),
-        running(run),
-        inflight(inf) {
-    observer = [this](const core::TxnRecord& t, bool committed) {
-      col.outcomes.push_back({t, committed, cl.now()});
-    };
-  }
-
-  void release() {
-    if (!running.load(std::memory_order_acquire)) return;
-    const SimTime now = cl.now();
-    auto self = shared_from_this();
-    while (next_due <= now) {
-      ++issued;
-      inflight.fetch_add(1, std::memory_order_acq_rel);
-      cl.post(site, [self, profile = std::make_shared<workload::TxnProfile>(
-                               gen.next())] {
-        workload::run_transaction(
-            self->cl, self->site, profile, self->col.metrics, self->observer,
-            [self] { self->inflight.fetch_sub(1, std::memory_order_acq_rel); });
-      });
-      next_due += seconds(-std::log(1.0 - arrivals.next_double()) / rate);
-    }
-    cl.on_timer(next_due - now, [self] { self->release(); });
-  }
 };
 
 void write_text_file(const std::string& path, const std::string& text) {
@@ -219,84 +125,108 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
 
   std::vector<SiteCollector> col(static_cast<std::size_t>(cfg.sites));
   checker::History history;
-  history.attach(cluster);  // installs its own observer; replaced next line
+  history.attach_partitioner(cluster.partitioner());
   cluster.set_install_observer([&col](const core::Cluster::InstallEvent& e) {
     col[e.site].installs.push_back(e);
   });
-
-  std::atomic<bool> running{true};
-  std::atomic<int> inflight{0};
+  // Outcomes land on the coordinator's mailbox thread, in its collector.
+  std::vector<workload::TxnObserver> observers;
+  for (auto& c : col)
+    observers.emplace_back(
+        [&cluster, &c](const core::TxnRecord& t, bool committed) {
+          c.outcomes.push_back({t, committed, cluster.now()});
+        });
 
   cluster.start();
   PlaneAttendant attendant(cluster, cfg);
 
-  std::vector<std::shared_ptr<ClosedLoop>> flows;
-  std::vector<std::shared_ptr<OpenLoop>> sources;
+  LiveRunResult res;
+  std::vector<std::unique_ptr<workload::ClientActor>> clients;
+  std::atomic<int> inflight{0};  // open-loop transactions not yet finished
+  const SimTime win_start = cluster.now();
+  // SIGTERM/SIGINT (front::signals) end the window early and proceed to the
+  // normal drain, so an operator kill still yields a complete, checkable
+  // history and a clean exit.
   if (cfg.open_loop_tps > 0) {
-    const double site_rate = cfg.open_loop_tps / cfg.sites;
-    for (int s = 0; s < cfg.sites; ++s) {
-      auto src = std::make_shared<OpenLoop>(
-          cluster, static_cast<SiteId>(s), cfg.workload, col[s], running,
-          inflight, site_rate, mix64(cfg.seed * 1000 + s));
-      sources.push_back(src);
-      cluster.on_timer(0, [src] { src->release(); });
-    }
+    std::vector<workload::Generator> gens;
+    for (int s = 0; s < cfg.sites; ++s)
+      gens.emplace_back(cfg.workload, cluster.partitioner(),
+                        static_cast<SiteId>(s), mix64(cfg.seed * 1000 + s));
+    Rng pick(mix64(cfg.seed ^ 0x73697465));
+    workload::ArrivalSchedule arrivals(cfg.open_loop_tps,
+                                       mix64(cfg.seed ^ 0xabcdef));
+    arrivals.start(win_start);
+    auto paced = pace(
+        arrivals, cluster.epoch(), win_start + seconds(cfg.secs),
+        &front::shutdown_requested, [&](SimTime due) {
+          const auto s = static_cast<SiteId>(pick.next_below(
+              static_cast<std::uint64_t>(cfg.sites)));
+          inflight.fetch_add(1, std::memory_order_acq_rel);
+          workload::run_transaction(
+              cluster, s,
+              std::make_shared<const workload::TxnProfile>(gens[s].next()),
+              col[s].metrics, observers[s],
+              [&inflight] {
+                inflight.fetch_sub(1, std::memory_order_acq_rel);
+              },
+              due);
+          return true;
+        });
+    res.interrupted = front::shutdown_requested();
+    res.scheduled = paced.scheduled;
+    res.offered = paced.issued;
+    res.lag = paced.lag;
   } else {
     for (int i = 0; i < cfg.clients; ++i) {
       const auto site = static_cast<SiteId>(i % cfg.sites);
-      auto flow = std::make_shared<ClosedLoop>(
-          cluster, site, cfg.workload, col[site], running, inflight,
-          mix64(cfg.seed * 1000 + i));
-      flows.push_back(flow);
-      inflight.fetch_add(1, std::memory_order_acq_rel);
-      // Launch on the site's own thread: all of a site's client state is
-      // only ever touched there.
-      cluster.post(site, [flow] { flow->next(); });
+      clients.push_back(std::make_unique<workload::ClientActor>(
+          cluster, site, cfg.workload, col[site].metrics,
+          mix64(cfg.seed * 1000 + i)));
+      clients.back()->set_observer(observers[site]);
+      clients.back()->start(win_start);
     }
+    res.interrupted = front::interruptible_sleep(cfg.secs);
+    for (auto& c : clients) c->stop();
   }
-
-  const auto t_start = steady_clock::now();
-  // Interruptible measurement window: SIGTERM/SIGINT (front::signals) ends
-  // the window early and proceeds to the normal drain, so an operator kill
-  // still yields a complete, checkable history and a clean exit.
-  const bool interrupted = front::interruptible_sleep(cfg.secs);
-  running.store(false, std::memory_order_release);
-  const double wall =
-      std::chrono::duration<double>(steady_clock::now() - t_start).count();
+  const SimTime win_end = cluster.now();
 
   // Drain: let in-flight transactions terminate so the recorded history is
   // complete; anything still stuck after the grace period is reported.
+  const auto hung = [&] {
+    int n = inflight.load(std::memory_order_acquire);
+    for (const auto& c : clients) n += c->idle() ? 0 : 1;
+    return n;
+  };
   const auto deadline =
       steady_clock::now() + std::chrono::duration_cast<steady_clock::duration>(
                                 std::chrono::duration<double>(cfg.drain_secs));
-  while (inflight.load(std::memory_order_acquire) > 0 &&
-         steady_clock::now() < deadline) {
+  while (hung() > 0 && steady_clock::now() < deadline) {
     // gdur-lint: allow(live/blocking-call) drain poll on the harness thread, not the event loop
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const int hung = inflight.load(std::memory_order_acquire);
+  res.hung_clients = hung();
   attendant.finish();  // final scan while probes are live
   cluster.stop();
 
-  LiveRunResult res;
   res.protocol = cfg.protocol;
   res.criterion = criterion_of(cfg.protocol);
-  res.wall_secs = wall;
+  res.wall_secs = to_seconds(win_end - win_start);
   res.messages = cluster.live_messages();
   res.bytes = cluster.live_bytes();
   res.batches = cluster.batches_sent();
   res.batched_msgs = cluster.batched_msgs();
-  res.interrupted = interrupted;
-  res.hung_clients = hung;
-  for (const auto& src : sources) res.offered += src->issued;
+  std::uint64_t in_window = 0;
   for (auto& c : col) {
     res.metrics.merge_from(c.metrics);
-    for (const auto& o : c.outcomes)
+    for (const auto& o : c.outcomes) {
       history.record_txn(o.txn, o.committed, o.response_time);
+      if (o.committed && o.response_time <= win_end) ++in_window;
+    }
     for (const auto& e : c.installs) history.record_install(e);
   }
   res.throughput_tps =
-      wall > 0 ? static_cast<double>(res.metrics.committed()) / wall : 0.0;
+      res.wall_secs > 0 ? static_cast<double>(in_window) / res.wall_secs
+                        : 0.0;
   if (cfg.check) {
     const auto cr = history.check_criterion(res.criterion);
     res.checker_ok = cr.ok;

@@ -1,7 +1,8 @@
-// Live loopback harness: drives the existing workload generators against a
-// LiveCluster with closed- or open-loop clients, records per-site metrics
-// and a checkable history, and verifies each protocol's claimed criterion —
-// the live counterpart of harness::run_experiment.
+// Live loopback harness: drives the simulator's own workload drivers
+// against a LiveCluster — workload::ClientActor closed loops, or one
+// workload::ArrivalSchedule paced on the wall clock (live/pacer.h) — records
+// per-site metrics and a checkable history, and verifies each protocol's
+// claimed criterion: the live counterpart of harness::run_experiment.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,9 @@ struct LiveRunConfig {
   /// live_certify_model waits and the trace annotations.
   sim::CostModel cost{};
   /// Poisson arrivals at this total offered rate instead of closed loops
-  /// (0 = closed loop).
+  /// (0 = closed loop). One pacer on the calling thread sends each arrival
+  /// to a uniformly drawn site, so each site's stream is Poisson at
+  /// rate / sites.
   double open_loop_tps = 0.0;
   /// Per-destination vote/ack coalescing into kBatch frames (see
   /// LiveConfig::coalesce).
@@ -72,10 +75,16 @@ struct LiveRunResult {
   std::string criterion;
   harness::Metrics metrics;
   double wall_secs = 0.0;        // measurement window actually elapsed
-  double throughput_tps = 0.0;   // committed txns / wall_secs
-  /// Arrivals the open-loop sources issued (0 for closed loops): compare
-  /// with open_loop_tps × wall_secs to see the load actually offered.
+  /// Commits whose response fell inside the window, per wall second (the
+  /// drain's commits are in `metrics` but not here).
+  double throughput_tps = 0.0;
+  /// Open-loop arrivals due in the window, and those issued (0 for closed
+  /// loops): offered ÷ scheduled is the share of the load actually
+  /// offered. Latency is timed from each arrival's due time; `lag` is how
+  /// late the pacer issued it.
+  std::uint64_t scheduled = 0;
   std::uint64_t offered = 0;
+  harness::LatencyStat lag;
   bool checker_ok = true;
   std::string checker_detail;
   std::uint64_t messages = 0;  // frames over the live transport
@@ -85,8 +94,8 @@ struct LiveRunResult {
   /// True when a shutdown signal cut the measurement window short (the run
   /// still drained and checked normally).
   bool interrupted = false;
-  /// Client flows still in flight when the drain grace period expired
-  /// (0 on a healthy run).
+  /// Closed-loop clients, or open-loop transactions, still in flight when
+  /// the drain grace period expired (0 on a healthy run below the knee).
   int hung_clients = 0;
   /// Observability-plane verdicts, read from the run's plane (all three
   /// are 0 on a healthy run).

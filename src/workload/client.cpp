@@ -1,6 +1,6 @@
 #include "workload/client.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace gdur::workload {
 
@@ -11,16 +11,16 @@ class TxnFlow : public std::enable_shared_from_this<TxnFlow> {
  public:
   TxnFlow(core::Cluster& cl, SiteId site, std::shared_ptr<const TxnProfile> p,
           harness::Metrics& metrics, TxnObserver observer,
-          std::function<void()> done)
+          std::function<void()> done, SimTime intended)
       : cl_(cl),
         site_(site),
         profile_(std::move(p)),
         metrics_(metrics),
         observer_(std::move(observer)),
-        done_(std::move(done)) {}
+        done_(std::move(done)),
+        begin_req_(intended) {}
 
   void begin() {
-    begin_req_ = cl_.now();
     auto self = shared_from_this();
     // Under faults a request or its response can be lost for good (crashed
     // coordinator, broken connection): give up after the cluster's client
@@ -144,7 +144,7 @@ class TxnFlow : public std::enable_shared_from_this<TxnFlow> {
   std::function<void()> done_;
   core::MutTxnPtr txn_;     // last known record, for the timeout observer
   bool finished_ = false;   // terminal response seen or timed out
-  SimTime begin_req_ = 0;
+  SimTime begin_req_;  // the arrival's intended time: latency starts here
   SimTime commit_req_ = 0;
 };
 
@@ -153,9 +153,11 @@ class TxnFlow : public std::enable_shared_from_this<TxnFlow> {
 void run_transaction(core::Cluster& cluster, SiteId site,
                      std::shared_ptr<const TxnProfile> profile,
                      harness::Metrics& metrics, const TxnObserver& observer,
-                     std::function<void()> done) {
+                     std::function<void()> done,
+                     std::optional<SimTime> intended) {
   std::make_shared<TxnFlow>(cluster, site, std::move(profile), metrics,
-                            observer, std::move(done))
+                            observer, std::move(done),
+                            intended.value_or(cluster.now()))
       ->begin();
 }
 
@@ -170,10 +172,15 @@ ClientActor::ClientActor(core::Cluster& cluster, SiteId site,
       metrics_(metrics) {}
 
 void ClientActor::start(SimTime at) {
-  cl_.simulator().at(at, [this] { run_one(); });
+  cl_.run_after(site_, std::max<SimDuration>(at - cl_.now(), 0),
+                [this] { run_one(); });
 }
 
 void ClientActor::run_one() {
+  if (stopped_.load(std::memory_order_acquire)) {
+    idle_.store(true, std::memory_order_release);
+    return;
+  }
   ++txns_run_;
   run_transaction(cl_, site_, std::make_shared<const TxnProfile>(gen_.next()),
                   metrics_, observer_, [this] { run_one(); });
@@ -189,10 +196,10 @@ OpenLoopSource::OpenLoopSource(core::Cluster& cluster, SiteId site,
       site_(site),
       gen_(spec, cluster.partitioner(), site, seed),
       metrics_(metrics),
-      arrivals_(mix64(seed ^ 0x9e3779b9)),
-      rate_(rate_tps) {}
+      arrivals_(rate_tps, mix64(seed ^ 0x9e3779b9)) {}
 
 void OpenLoopSource::start(SimTime at) {
+  arrivals_.start(at);
   cl_.simulator().at(at, [this] { arrive(); });
 }
 
@@ -201,12 +208,9 @@ void OpenLoopSource::arrive() {
   ++offered_;
   run_transaction(cl_, site_,
                   std::make_shared<const TxnProfile>(gen_.next()), metrics_,
-                  nullptr, nullptr);
-  // Exponential inter-arrival time.
-  const double u = arrivals_.next_double();
-  const auto gap = static_cast<SimDuration>(
-      -std::log(1.0 - u) / rate_ * 1e9);
-  cl_.simulator().after(std::max<SimDuration>(gap, 1), [this] { arrive(); });
+                  nullptr, nullptr, arrivals_.due());
+  arrivals_.advance();
+  cl_.simulator().at(arrivals_.due(), [this] { arrive(); });
 }
 
 }  // namespace gdur::workload

@@ -3,16 +3,22 @@
 // ClientActor — closed-loop client thread (§8.1): one interactive
 // transaction at a time against its co-located G-DUR instance, retrying
 // immediately after aborts, exactly like the paper's YCSB client threads.
+// It runs on either backend: it starts through Cluster::run_after and
+// relaunches from its own completion callback, so in live mode it lives on
+// its site's mailbox thread.
 //
-// OpenLoopSource — Poisson arrivals at a fixed offered rate, independent of
-// completions. Closed loops self-throttle at saturation; the open loop
-// exposes the true overload behavior (queues and latencies grow without
-// bound past capacity).
+// OpenLoopSource — an ArrivalSchedule on the simulator's clock: Poisson
+// arrivals at a fixed offered rate, independent of completions. Closed
+// loops self-throttle at saturation; the open loop exposes the true
+// overload behavior (queues and latencies grow without bound past
+// capacity).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "core/cluster.h"
 #include "harness/metrics.h"
@@ -25,19 +31,31 @@ using TxnObserver = std::function<void(const core::TxnRecord&, bool committed)>;
 
 /// Drives one interactive transaction through the cluster API and records
 /// its outcome into `metrics`; `done` runs after the terminal response.
-/// The flow object keeps itself alive for the duration.
+/// The flow object keeps itself alive for the duration. Its latency is
+/// timed from `intended` — the arrival's due time on the cluster's clock —
+/// or from now, so queueing between the two counts as latency. Any thread
+/// may call this: the first hop (Cluster::begin) posts to the coordinator.
 void run_transaction(core::Cluster& cluster, SiteId site,
                      std::shared_ptr<const TxnProfile> profile,
                      harness::Metrics& metrics, const TxnObserver& observer,
-                     std::function<void()> done);
+                     std::function<void()> done,
+                     std::optional<SimTime> intended = std::nullopt);
 
 class ClientActor {
  public:
   ClientActor(core::Cluster& cluster, SiteId site, const WorkloadSpec& spec,
               harness::Metrics& metrics, std::uint64_t seed);
 
-  /// Kicks off the closed loop at simulated time `at`.
+  /// Kicks off the closed loop at cluster time `at` (now, if already past).
   void start(SimTime at);
+  /// Launches no further transaction; the one in flight still finishes.
+  /// Any thread.
+  void stop() { stopped_.store(true, std::memory_order_release); }
+  /// True once stop() took effect and the last transaction has finished.
+  /// Any thread.
+  [[nodiscard]] bool idle() const {
+    return idle_.load(std::memory_order_acquire);
+  }
 
   void set_observer(TxnObserver obs) { observer_ = std::move(obs); }
 
@@ -52,6 +70,8 @@ class ClientActor {
   harness::Metrics& metrics_;
   TxnObserver observer_;
   std::uint64_t txns_run_ = 0;
+  std::atomic<bool> stopped_{false};
+  std::atomic<bool> idle_{false};
 };
 
 class OpenLoopSource {
@@ -75,8 +95,7 @@ class OpenLoopSource {
   SiteId site_;
   Generator gen_;
   harness::Metrics& metrics_;
-  Rng arrivals_;
-  double rate_;
+  ArrivalSchedule arrivals_;
   SimTime stop_at_ = std::numeric_limits<SimTime>::max();
   std::uint64_t offered_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace gdur::workload {
 
@@ -90,6 +91,12 @@ TxnProfile Generator::next() {
     if (!part_.single_site(touched) || attempt >= 16) break;
   }
   return t;
+}
+
+void ArrivalSchedule::advance() {
+  const double u = rng_.next_double();
+  const auto gap = static_cast<SimDuration>(-std::log(1.0 - u) / rate_ * 1e9);
+  due_ += std::max<SimDuration>(gap, 1);
 }
 
 }  // namespace gdur::workload

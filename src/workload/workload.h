@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sim_time.h"
 #include "common/types.h"
 #include "store/partitioner.h"
 
@@ -62,6 +63,29 @@ class Generator {
   SiteId home_;
   Rng rng_;
   ZipfianGenerator zipf_;
+};
+
+/// The one open-loop arrival process: Poisson arrivals on an absolute
+/// schedule, in integer nanoseconds of whatever clock the driver keeps
+/// (OpenLoopSource: simulated time; live::pace: wall time since an epoch).
+/// Each due time is the previous one plus a seeded exponential gap of at
+/// least 1 ns — never re-based on when an arrival was actually issued.
+class ArrivalSchedule {
+ public:
+  ArrivalSchedule(double rate_tps, std::uint64_t seed)
+      : rng_(seed), rate_(rate_tps) {}
+
+  /// Puts the next arrival at `t` (the schedule's first due time).
+  void start(SimTime t) { due_ = t; }
+  /// When the next arrival is due.
+  [[nodiscard]] SimTime due() const { return due_; }
+  /// Moves past the arrival due now.
+  void advance();
+
+ private:
+  Rng rng_;
+  double rate_;
+  SimTime due_ = 0;
 };
 
 }  // namespace gdur::workload

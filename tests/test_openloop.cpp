@@ -47,6 +47,17 @@ TEST(OpenLoop, OfferedRateMatchesConfiguredRate) {
   EXPECT_NEAR(static_cast<double>(rig.offered()), 8000, 8000 * 0.08);
 }
 
+// Pins the simulator's open-loop schedule: arrival times, profiles and
+// latency accounting reproduce the values the pre-ArrivalSchedule source
+// produced, to the last bit.
+TEST(OpenLoop, ScheduleIsPinned) {
+  OpenRig rig(500, seconds(4));
+  EXPECT_EQ(rig.offered(), 8067u);
+  EXPECT_EQ(rig.metrics.committed(), 8067u);
+  EXPECT_EQ(rig.metrics.aborted(), 0u);
+  EXPECT_EQ(rig.metrics.txn_latency.mean_ms(), 43.204524061113176);
+}
+
 TEST(OpenLoop, AllOfferedTransactionsTerminate) {
   OpenRig rig(200, seconds(3));
   EXPECT_EQ(rig.metrics.committed() + rig.metrics.aborted(), rig.offered());

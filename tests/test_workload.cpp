@@ -130,5 +130,51 @@ TEST(Generator, DeterministicPerSeed) {
   }
 }
 
+TEST(ArrivalSchedule, FirstArrivalIsDueAtTheStart) {
+  ArrivalSchedule s(1000, 7);
+  s.start(seconds(3));
+  EXPECT_EQ(s.due(), seconds(3));
+}
+
+TEST(ArrivalSchedule, DueTimesStrictlyIncrease) {
+  // At 1e10/s the mean gap is 0.1 ns: nearly every draw truncates to 0 and
+  // the 1 ns floor is what keeps the schedule moving.
+  for (const double rate : {1e3, 1e10}) {
+    ArrivalSchedule s(rate, 11);
+    s.start(0);
+    for (int i = 0; i < 10'000; ++i) {
+      const SimTime before = s.due();
+      s.advance();
+      ASSERT_GT(s.due(), before) << "rate " << rate << ", draw " << i;
+    }
+  }
+}
+
+TEST(ArrivalSchedule, SeedReproducesTheSchedule) {
+  ArrivalSchedule a(2500, 42), b(2500, 42), c(2500, 43);
+  a.start(5);
+  b.start(5);
+  c.start(5);
+  bool differs = false;
+  for (int i = 0; i < 1000; ++i) {
+    a.advance();
+    b.advance();
+    c.advance();
+    ASSERT_EQ(a.due(), b.due());
+    differs |= a.due() != c.due();
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(ArrivalSchedule, MeanGapIsTheInverseRate) {
+  constexpr double kRate = 4000;
+  constexpr int kDraws = 100'000;
+  ArrivalSchedule s(kRate, 3);
+  s.start(0);
+  for (int i = 0; i < kDraws; ++i) s.advance();
+  const double mean_gap_s = to_seconds(s.due()) / kDraws;
+  EXPECT_NEAR(mean_gap_s, 1 / kRate, 0.01 / kRate);
+}
+
 }  // namespace
 }  // namespace gdur::workload
