@@ -19,12 +19,6 @@ struct PaceStats {
   std::uint64_t issued = 0;     // arrivals handed to submit() in time
   std::uint64_t shed = 0;       // issued but refused by submit()
   harness::LatencyStat lag;     // actual − intended issue time
-
-  [[nodiscard]] double offered_ratio() const {
-    return scheduled == 0 ? 1.0
-                          : static_cast<double>(issued) /
-                                static_cast<double>(scheduled);
-  }
 };
 
 /// Runs `schedule` on the calling thread, whose due times are nanoseconds
