@@ -8,6 +8,12 @@
 // installs), then compares the digest byte-for-byte against a golden file
 // captured from the pre-seam tree.
 //
+// Beyond the seven fault-free rf 1 rows, tagged rows pin the paths those
+// runs never reach: Paxos Commit and 2PC P-Store, disaster-tolerant
+// placement (rf 2), seeded chaos with a durable WAL and timeouts, and a
+// join/retire plan under loss, a partition and a crash. Those rows also
+// print the timeout aborts, recoveries and invariant-monitor violations.
+//
 // Regenerate (only when a change is *supposed* to alter sim behavior):
 //   GDUR_UPDATE_GOLDEN=1 ./build/tests/test_determinism_guard
 #include <gtest/gtest.h>
@@ -23,6 +29,7 @@
 #include "checker/history.h"
 #include "harness/metrics.h"
 #include "protocols/protocols.h"
+#include "sim/fault.h"
 #include "workload/client.h"
 
 namespace gdur {
@@ -45,15 +52,22 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-std::string digest_protocol(const std::string& name) {
-  const auto spec = protocols::by_name(name);
+core::ClusterConfig base_config() {
   core::ClusterConfig cfg;
   cfg.sites = 3;
   cfg.replication = 1;
   cfg.objects_per_site = 96;
   cfg.partitions_per_site = 2;
   cfg.seed = 7;
+  return cfg;
+}
 
+/// One digest row. `tag` empty = the original fault-free format; a tagged
+/// row prefixes the tag and appends the fault-path counters.
+std::string digest_run(const std::string& tag, const std::string& name,
+                       const core::ClusterConfig& cfg, int clients,
+                       SimTime window) {
+  const auto spec = protocols::by_name(name);
   core::Cluster cluster(cfg, spec);
   harness::Metrics metrics;
 
@@ -73,7 +87,7 @@ std::string digest_protocol(const std::string& name) {
   std::uint64_t outcomes = 0;
   std::vector<std::unique_ptr<workload::ClientActor>> actors;
   const auto wl = workload::WorkloadSpec::A(0.8);
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < clients; ++i) {
     actors.push_back(std::make_unique<workload::ClientActor>(
         cluster, static_cast<SiteId>(i % cfg.sites), wl, metrics,
         mix64(9'000 + static_cast<std::uint64_t>(i))));
@@ -87,14 +101,14 @@ std::string digest_protocol(const std::string& name) {
         });
     actors.back()->start(i * microseconds(373));
   }
-  cluster.simulator().run_until(seconds(1));
+  cluster.simulator().run_until(window);
 
-  char line[256];
+  char line[320];
   std::snprintf(line, sizeof(line),
-                "%s committed=%llu aborted=%llu exec_fail=%llu events=%llu "
+                "%s%s committed=%llu aborted=%llu exec_fail=%llu events=%llu "
                 "outcomes=%llu txn_hash=%016llx installs=%llu "
                 "install_hash=%016llx",
-                name.c_str(),
+                tag.c_str(), name.c_str(),
                 static_cast<unsigned long long>(metrics.committed()),
                 static_cast<unsigned long long>(metrics.aborted_ro +
                                                 metrics.aborted_upd),
@@ -105,7 +119,65 @@ std::string digest_protocol(const std::string& name) {
                 static_cast<unsigned long long>(txn_hash.value()),
                 static_cast<unsigned long long>(installs),
                 static_cast<unsigned long long>(install_hash.value()));
-  return line;
+  if (tag.empty()) return line;
+  std::uint64_t timeout_aborts = 0;
+  std::uint64_t recoveries = 0;
+  for (SiteId s = 0; s < static_cast<SiteId>(cfg.sites); ++s) {
+    timeout_aborts += cluster.replica(s).timeout_aborts();
+    recoveries += cluster.replica(s).recoveries();
+  }
+  char tail[160];
+  std::snprintf(tail, sizeof(tail),
+                " timeout_aborts=%llu recoveries=%llu violations=%llu",
+                static_cast<unsigned long long>(timeout_aborts),
+                static_cast<unsigned long long>(recoveries),
+                static_cast<unsigned long long>(
+                    cluster.plane().invariants().violations()));
+  return std::string(line) + tail;
+}
+
+std::string digest_protocol(const std::string& name) {
+  return digest_run("", name, base_config(), 12, seconds(1));
+}
+
+/// Disaster-tolerant placement: every partition on two sites.
+core::ClusterConfig dt_config() {
+  auto cfg = base_config();
+  cfg.sites = 4;
+  cfg.replication = 2;
+  cfg.objects_per_site = 64;
+  return cfg;
+}
+
+/// DT placement under a seeded chaos plan, with the WAL and both timeouts.
+core::ClusterConfig chaos_config() {
+  auto cfg = dt_config();
+  cfg.durable = true;
+  cfg.faults = sim::FaultPlan::chaos(cfg.sites, seconds(3), 1000);
+  cfg.term_timeout = milliseconds(500);
+  cfg.client_timeout = seconds(2);
+  return cfg;
+}
+
+/// The join/retire plan of ReconfigChaos.JoinAndRetireMidRunSurviveThe-
+/// FaultMatrix: site 4 joins, site 3 retires while partitioned away, site 1
+/// crashes and recovers, and every link drops 5% of its messages.
+core::ClusterConfig reconfig_config() {
+  auto cfg = base_config();
+  cfg.sites = 5;
+  cfg.replication = 2;
+  cfg.objects_per_site = 64;
+  cfg.durable = true;
+  cfg.term_timeout = milliseconds(500);
+  cfg.client_timeout = seconds(2);
+  cfg.reconfig.start_with({0, 1, 2, 3})
+      .join(4, milliseconds(400))
+      .retire(3, milliseconds(1200));
+  cfg.faults.drop_all(0.05);
+  cfg.faults.partition({{0, 1, 2, 4}, {3}}, milliseconds(1000),
+                       milliseconds(1500));
+  cfg.faults.crash(1, milliseconds(900), milliseconds(1400));
+  return cfg;
 }
 
 std::string build_digest() {
@@ -113,6 +185,16 @@ std::string build_digest() {
   for (const char* name :
        {"P-Store", "S-DUR", "GMU", "Serrano", "Walter", "Jessy2pc", "RC"})
     out << digest_protocol(name) << "\n";
+  for (const char* name : {"P-Store+2PC", "P-Store+Paxos"})
+    out << digest_run("ac/", name, base_config(), 12, seconds(1)) << "\n";
+  for (const char* name :
+       {"S-DUR", "P-Store", "Serrano", "Jessy2pc", "P-Store+Paxos"})
+    out << digest_run("dt/", name, dt_config(), 24, seconds(2)) << "\n";
+  for (const char* name : {"S-DUR", "Serrano", "Jessy2pc", "P-Store+Paxos"})
+    out << digest_run("chaos/", name, chaos_config(), 24, seconds(4)) << "\n";
+  for (const char* name : {"P-Store", "Jessy2pc", "P-Store+Paxos"})
+    out << digest_run("reconfig/", name, reconfig_config(), 24, seconds(3))
+        << "\n";
   return out.str();
 }
 
