@@ -11,14 +11,12 @@ namespace gdur::protocols {
 void propagate_to_rest(core::Cluster& cl, const core::TxnRecord& t) {
   const auto cs = core::certifying_objects(cl.spec(), t, cl.partitioner());
   const auto involved = cl.partitioner().replicas_of(cs.objs);
+  // Background propagation targets members only: a retiree is fenced and a
+  // joiner catches up through the state-transfer stream instead.
   std::vector<SiteId> rest;
-  // gdur-lint: allow(membership/hardcoded-sites) universe complement; view-filtered just below
-  for (SiteId s = 0; s < static_cast<SiteId>(cl.sites()); ++s)
+  for (SiteId s : cl.view(t.epoch).members)
     if (std::find(involved.begin(), involved.end(), s) == involved.end())
       rest.push_back(s);
-  // Background propagation targets participants only: a retiree is fenced
-  // and a joiner catches up through the state-transfer stream instead.
-  if (cl.reconfig_enabled()) rest = cl.view(t.epoch).filter(std::move(rest));
   if (rest.empty()) return;
   const auto stamp = std::make_shared<const versioning::Stamp>(t.stamp);
   for (SiteId d : rest) cl.send(t.id.coord, d, net::PropagateMsg{stamp});
