@@ -3,8 +3,9 @@
 // The paper's headline: each protocol realized in G-DUR takes 200-600 SLOC,
 // an order of magnitude less than the monolithic originals (6,000-30,000).
 // This binary counts the SLOC of our plug-in files (comments and blank
-// lines excluded, like the paper) plus the shared engine, and prints the
-// comparison against the originals' sizes quoted in the paper.
+// lines excluded, like the paper) plus the shared engine per module, and
+// prints the comparison against the originals' sizes quoted in the paper.
+// It exits 1 when a plug-in exceeds the paper's 600-SLOC envelope.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -81,10 +82,25 @@ int main() {
     }
   }
 
-  const int engine = sloc_of_all({
-      "src/core/replica.cpp", "src/core/cluster.cpp",
-      "src/core/protocol_spec.cpp", "src/core/certifiers.cpp",
-  });
+  struct Module {
+    const char* name;
+    std::vector<std::string> files;
+  };
+  const std::vector<Module> engine_modules = {
+      {"replica", {"src/core/replica.cpp"}},
+      {"commitment engines",
+       {"src/core/commitment.cpp", "src/core/commitment.h"}},
+      {"cluster", {"src/core/cluster.cpp"}},
+      {"spec + certifiers",
+       {"src/core/protocol_spec.cpp", "src/core/certifiers.cpp"}},
+  };
+  std::printf("\n# shared G-DUR engine, SLOC per module\n");
+  int engine = 0;
+  for (const auto& m : engine_modules) {
+    const int n = sloc_of_all(m.files);
+    engine += n;
+    std::printf("  %-20s %6d\n", m.name, n);
+  }
   const int comm = sloc_of_all({
       "src/comm/atomic_broadcast.cpp", "src/comm/skeen_multicast.cpp",
       "src/comm/reliable_multicast.cpp", "src/net/transport.cpp",

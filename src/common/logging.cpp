@@ -4,7 +4,7 @@ namespace gdur {
 
 namespace {
 LogLevel g_level = LogLevel::kWarn;
-const LogClock* g_clock = nullptr;
+thread_local const LogClock* g_clock = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {

@@ -1,14 +1,14 @@
 // Minimal leveled logging.
 //
-// The simulator is single-threaded, so no synchronization is needed. Logging
-// defaults to Warn so benchmarks stay quiet; tests can raise verbosity to
-// trace protocol decisions.
+// Logging defaults to Warn so benchmarks stay quiet; tests can raise
+// verbosity to trace protocol decisions.
 //
 // Timestamps: log lines carry no wall-clock time (meaningless in a
-// simulation). Instead a clock source can be installed — sim::Simulator
-// registers itself on construction — and every line is then prefixed with
-// the current *simulated* time, so GDUR_TRACE output lines up with the
-// TraceRecorder's spans.
+// simulation). Instead each thread can install a clock source —
+// sim::Simulator installs itself while it runs events — and that thread's
+// lines are then prefixed with the current *simulated* time, so GDUR_TRACE
+// output lines up with the TraceRecorder's spans. A thread running no
+// simulator (a live site, another thread's sweep) prints no timestamp.
 #pragma once
 
 #include <cstdio>
@@ -31,8 +31,9 @@ class LogClock {
   [[nodiscard]] virtual SimTime log_now() const = 0;
 };
 
-/// Installs `clock` as the log timestamp source (nullptr = no timestamps).
-/// Not owned; the installer must outlive its installation or clear it.
+/// Installs `clock` as this thread's log timestamp source (nullptr = no
+/// timestamps). Not owned; the installer must outlive its installation or
+/// clear it.
 void set_log_clock(const LogClock* clock);
 [[nodiscard]] const LogClock* log_clock();
 

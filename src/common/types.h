@@ -3,6 +3,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 
@@ -35,7 +36,10 @@ struct TxnId {
 
   [[nodiscard]] bool valid() const { return coord != kNoSite; }
   [[nodiscard]] std::string str() const {
-    return "T" + std::to_string(coord) + "." + std::to_string(seq);
+    char buf[40];  // "T" + 10 + "." + 20 digits + NUL
+    std::snprintf(buf, sizeof(buf), "T%u.%llu", static_cast<unsigned>(coord),
+                  static_cast<unsigned long long>(seq));
+    return buf;
   }
 };
 

@@ -17,8 +17,7 @@ MembershipView MembershipView::with_joined(SiteId s) const {
 MembershipView MembershipView::with_retired(SiteId s) const {
   MembershipView v = *this;
   ++v.epoch;
-  v.members.erase(std::remove(v.members.begin(), v.members.end(), s),
-                  v.members.end());
+  std::erase(v.members, s);
   return v;
 }
 

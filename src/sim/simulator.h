@@ -31,12 +31,7 @@ class Simulator : public LogClock {
   /// exactly one of the three must happen to every handle.
   enum class Handle : std::uint32_t {};
 
-  /// The newest simulator becomes the log-timestamp source, so GDUR_TRACE
-  /// lines carry simulated time (common/logging).
-  Simulator() { set_log_clock(this); }
-  ~Simulator() override {
-    if (log_clock() == this) set_log_clock(nullptr);
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -65,7 +60,9 @@ class Simulator : public LogClock {
   /// Destroys the parked task `h` without running it.
   void drop(Handle h);
 
-  /// Runs events until the queue drains or stop() is called.
+  /// Runs events until the queue drains or stop() is called. While events
+  /// run, the simulator is its thread's log clock (common/logging), so
+  /// GDUR_TRACE lines carry simulated time.
   void run();
 
   /// Runs events with timestamp <= `t`; afterwards now() == t unless the run

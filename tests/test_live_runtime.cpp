@@ -7,9 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "harness/metrics.h"
 #include "live/live_cluster.h"
 #include "live/live_runner.h"
@@ -451,6 +453,31 @@ TEST(LiveCluster, OwnedPlaneCountsEveryFrame) {
   EXPECT_GT(cl.live_bytes(), 0u);
   EXPECT_EQ(cl.live_messages(), frames);
   EXPECT_EQ(cl.live_bytes(), bytes);
+}
+
+// A live site thread runs no simulator, so its log lines carry no
+// simulated timestamp — not the 0 s of the simulator every LiveCluster
+// builds and never runs.
+TEST(LiveCluster, SiteLogLinesAreNotStampedWithAnIdleSimulatorsTime) {
+  LiveConfig lc;
+  lc.base.sites = 2;
+  lc.base.objects_per_site = 64;
+  LiveCluster cl(lc, protocols::rc());
+  cl.start();
+  std::this_thread::sleep_for(100ms);
+  std::atomic<bool> logged{false};
+  testing::internal::CaptureStderr();
+  cl.post(0, [&logged] {
+    GDUR_WARN("live log clock probe");
+    logged.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!logged.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  cl.stop();
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_NE(err.find("live log clock probe"), std::string::npos) << err;
+  EXPECT_EQ(err.find("0.000000s"), std::string::npos) << err;
 }
 
 }  // namespace

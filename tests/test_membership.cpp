@@ -294,7 +294,8 @@ TEST(Reconfig, VotesStayConsistentAcrossLeaderRotation) {
 }
 
 TEST(Reconfig, FixedMembershipRunsAreUntouchedByTheLayer) {
-  // Empty plan: reconfig disabled, epoch guards inert, views never consulted.
+  // Empty plan: reconfig disabled; every site belongs to the one epoch-0
+  // view, so the epoch fences always pass.
   core::ClusterConfig cfg;
   cfg.sites = 4;
   cfg.objects_per_site = 64;

@@ -135,6 +135,20 @@ TEST(ProtocolBehavior, ZipfianContentionRaisesAborts) {
   EXPECT_GE(zipf->metrics.abort_ratio_pct(), uni->metrics.abort_ratio_pct());
 }
 
+// Paxos Commit must hear every participant's instance before it decides.
+// With certifying = all objects every member is a participant; a learner
+// that sized the participant set from the certifying objects alone saw an
+// empty set and committed once the first instance closed, over the other
+// participants' no votes.
+TEST(ProtocolBehavior, PaxosCommitOverAllObjectsWaitsForEveryParticipant) {
+  auto spec = protocols::p_store_paxos();
+  spec.certifying = core::CertScope::kAllObjects;
+  const auto run = run_history(spec, workload::WorkloadSpec::B(0.6), 1);
+  EXPECT_GT(run->history.committed_count(), 100u);
+  const auto res = run->history.check_criterion("SER");
+  EXPECT_TRUE(res.ok) << res.detail;
+}
+
 TEST(ProtocolBehavior, HistoriesAreDeterministic) {
   const auto a = run_history(protocols::jessy2pc(),
                              workload::WorkloadSpec::A(0.8), 17);

@@ -202,9 +202,9 @@ TEST(WalCodec, HugeCorruptedLengthPrefixDoesNotOverflow) {
   // A corrupted (not merely truncated) length prefix can decode to a value
   // near 2^64; `pos + len + 4` must not wrap around and send the replayer
   // out of bounds.
-  std::vector<std::uint8_t> bytes(10, 0xff);
+  std::vector<std::uint8_t> bytes(32, 0x00);
+  for (std::size_t i = 0; i < 9; ++i) bytes[i] = 0xff;
   bytes[9] = 0x01;  // varint terminator: len = 2^64 - 1
-  bytes.resize(32, 0x00);
   bool torn = false;
   const auto back = deserialize_records(bytes, &torn);
   EXPECT_TRUE(back.empty());
