@@ -4,7 +4,7 @@
 // the termination protocol's commute scans. Every transaction in the
 // termination queue Q is indexed under each object of its footprint
 // (rs ∪ ws); the three certification sites that used to walk Q pairwise
-// (preemptive-abort vote, gc_try_votes, the recovery re-vote loop) instead
+// (preemptive-abort vote, GC convoy pass, the recovery re-vote) instead
 // visit only the transactions that share at least one object with the
 // candidate, turning an O(|Q|) scan per query into O(footprint · bucket).
 // This is the object-indexed certification of Parallel Deferred Update
