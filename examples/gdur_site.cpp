@@ -25,12 +25,15 @@
 //   shards_per_site=1
 //   coalesce=0                   1 = batch small inter-site messages
 //   history=site0.hist           history dump written at shutdown
-//   snapshot=site0               obs snapshot prefix written at shutdown
+//   snapshot=site0               obs snapshot prefix: .json/.prom every
+//                                second and at shutdown, flight dumps
+//                                to .flight.txt/.flight.trace.json
 //
 // Prints "READY port=<front door port>" on stdout once serving (the
 // deployment script parses it), then runs until SIGTERM/SIGINT: stops
 // admitting, waits for in-flight requests to finish, writes the history
-// dump + obs snapshot, and exits 0. A second signal force-exits.
+// dump + obs snapshot, and exits 0. A second signal force-exits. The
+// whole time, a live::PlaneAttendant scans the stall watchdog.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -155,11 +158,6 @@ bool load_config(const std::string& path, SiteOptions& opt) {
   return true;
 }
 
-void write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -210,6 +208,7 @@ int main(int argc, char** argv) {
       [&hist](const core::Cluster::InstallEvent& e) { hist.add_install(e); });
 
   cluster.start();
+  live::PlaneAttendant attendant(cluster, opt.snapshot_prefix);
 
   front::FrontConfig fc;
   fc.site = opt.self;
@@ -246,14 +245,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   const bool drained = server.requests_inflight() == 0;
+  attendant.finish();  // last scan and snapshot while the probes are live
   cluster.stop();
 
-  if (!opt.snapshot_prefix.empty()) {
-    write_text(opt.snapshot_prefix + ".json",
-               plane.snapshot_json(cluster.now()));
-    write_text(opt.snapshot_prefix + ".prom",
-               plane.snapshot_prometheus(cluster.now()));
-  }
   bool dumped = true;
   if (!opt.history_path.empty()) {
     dumped = hist.write_file(opt.history_path);

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -61,14 +59,6 @@ class Task {
   /// Runs the closure; the task must not be empty.
   void operator()() { ops_->invoke(buf_); }
 
-  /// Moves the closure into a std::function, for queues that keep those (the
-  /// live mailbox and timer wheel). A copyable closure moves in as itself,
-  /// costing what it did as a std::function; a move-only one is shared. The
-  /// task must not be empty.
-  [[nodiscard]] std::function<void()> into_function() && {
-    return ops_->into_function(buf_);
-  }
-
  private:
   struct Ops {
     void (*invoke)(void* buf);
@@ -76,7 +66,6 @@ class Task {
     void (*relocate)(void* from, void* to) noexcept;
     /// nullptr when the closure has nothing to destroy.
     void (*destroy)(void* buf) noexcept;
-    std::function<void()> (*into_function)(void* buf);
   };
 
   template <class D>
@@ -97,21 +86,6 @@ class Task {
     as<D>(buf)->~D();
   }
   template <class D>
-  static std::function<void()> function_of(D& f) {
-    if constexpr (std::is_copy_constructible_v<D>)
-      return std::move(f);
-    else
-      return [p = std::make_shared<D>(std::move(f))] { (*p)(); };
-  }
-  template <class D>
-  static std::function<void()> into_function_inline(void* buf) {
-    return function_of(*as<D>(buf));
-  }
-  template <class D>
-  static std::function<void()> into_function_heap(void* buf) {
-    return function_of(**as<D*>(buf));
-  }
-  template <class D>
   static void relocate_heap(void* from, void* to) noexcept {
     ::new (to) D*(*as<D*>(from));
   }
@@ -127,12 +101,11 @@ class Task {
   template <class D>
   static constexpr Ops kInline{
       &invoke_inline<D>, &relocate_inline<D>,
-      std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>,
-      &into_function_inline<D>};
+      std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>};
   /// A heap closure is owned through the pointer held in the buffer.
   template <class D>
   static constexpr Ops kHeap{&invoke_heap<D>, &relocate_heap<D>,
-                             &destroy_heap<D>, &into_function_heap<D>};
+                             &destroy_heap<D>};
 
   /// Moves `other`'s closure here (ops_ already copied) and empties it.
   void take(Task& other) noexcept {

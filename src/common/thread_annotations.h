@@ -74,9 +74,8 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// RAII lock over an annotated Mutex (the TSA "scoped capability" idiom).
-/// Supports manual unlock()/lock() cycling — TimerWheel drops the lock
-/// around timer callbacks — and condition waits through CondVar.
+/// RAII lock over an annotated Mutex (the TSA "scoped capability" idiom),
+/// held for its whole scope; condition waits go through CondVar.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) ACQUIRE(mu) : lk_(mu->mu_) {}
@@ -84,9 +83,6 @@ class SCOPED_CAPABILITY MutexLock {
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
-  void unlock() RELEASE() { lk_.unlock(); }
-  void lock() ACQUIRE() { lk_.lock(); }
 
  private:
   friend class CondVar;
@@ -108,11 +104,11 @@ class CondVar {
     cv_.wait(lock.lk_, std::move(pred));
   }
 
-  template <class Clock, class Duration, class Pred>
-  bool wait_until(MutexLock& lock,
-                  const std::chrono::time_point<Clock, Duration>& tp,
-                  Pred pred) {
-    return cv_.wait_until(lock.lk_, tp, std::move(pred));
+  /// Returns at `tp`, on a notify, or spuriously: callers re-check.
+  template <class Clock, class Duration>
+  void wait_until(MutexLock& lock,
+                  const std::chrono::time_point<Clock, Duration>& tp) {
+    cv_.wait_until(lock.lk_, tp);
   }
 
  private:

@@ -92,7 +92,6 @@ void FrontServer::on_accept(int conn) {
   s.conn = conn;
   s.id = next_session_++;
   sessions_.emplace(conn, std::move(s));
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   sessions_live_.fetch_add(1, std::memory_order_relaxed);
   if (stats_ != nullptr) stats_->record(obs::Counter::kClientSessions);
 }

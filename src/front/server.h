@@ -21,7 +21,7 @@
 //     `pause_read_at` pending output bytes, so the server stops accepting
 //     new requests from that client until it drains responses.
 //
-// Per-request metadata comes from a free-list pool (front::Arena's Pool):
+// Per-request metadata comes from a free-list pool (front/pool.h):
 // the steady-state request path allocates no metadata nodes.
 #pragma once
 
@@ -32,7 +32,7 @@
 #include <unordered_map>
 
 #include "common/analysis_annotations.h"
-#include "front/arena.h"
+#include "front/pool.h"
 #include "front/reactor.h"
 #include "front/session.h"
 #include "live/live_cluster.h"
@@ -88,9 +88,6 @@ class FrontServer {
   void set_stats(obs::StatsSlot* s) { stats_ = s; }
 
   // --- lock-free gauges (tests, obs probes) ------------------------------
-  [[nodiscard]] std::uint64_t sessions_opened() const {
-    return sessions_opened_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t sessions_live() const {
     return sessions_live_.load(std::memory_order_relaxed);
   }
@@ -175,7 +172,6 @@ class FrontServer {
   GDUR_CONFINED("site-thread") Pool<RequestCtx> pool_;
 
   // Gauges (site thread writes, any thread reads).
-  std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> sessions_live_{0};
   std::atomic<std::uint64_t> open_txns_{0};
   std::atomic<std::uint64_t> ops_{0};

@@ -1,5 +1,7 @@
 #include "live/live_cluster.h"
 
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -92,13 +94,20 @@ class LockedOracle final : public versioning::VersionOracle {
   std::unique_ptr<versioning::VersionOracle> inner_ GUARDED_BY(mu_);
 };
 
-/// Live mode is fault-free and in-memory: strip the sim-only knobs so the
-/// base class never builds a fault injector or WALs.
-core::ClusterConfig live_base(core::ClusterConfig cfg) {
-  cfg.durable = false;
-  cfg.faults = {};
-  cfg.client_timeout = 0;
-  cfg.term_timeout = 0;
+/// Returns `cfg` when live mode can honour it. Live mode is fault-free and
+/// in-memory, and a reconfiguration plan would be scheduled on a simulator
+/// the live runtime never runs, so each of those settings is refused by
+/// name before the base class builds anything from it.
+const core::ClusterConfig& supported(const core::ClusterConfig& cfg) {
+  const auto refuse = [](const char* field) {
+    throw std::invalid_argument(std::string("LiveCluster: ") + field +
+                                " is not supported in live mode");
+  };
+  if (cfg.durable) refuse("durable");
+  if (!cfg.faults.empty()) refuse("faults");
+  if (cfg.client_timeout != 0) refuse("client_timeout");
+  if (cfg.term_timeout != 0) refuse("term_timeout");
+  if (!cfg.reconfig.empty()) refuse("reconfig");
   return cfg;
 }
 
@@ -143,7 +152,7 @@ constexpr std::size_t kBatchMaxBytes = 16 * 1024;
 }  // namespace
 
 LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
-    : core::Cluster(live_base(cfg.base), std::move(spec)) {
+    : core::Cluster(supported(cfg.base), std::move(spec)) {
   // Swap in the serializing oracle before any thread exists.
   oracle_ = std::make_unique<LockedOracle>(std::move(oracle_), part_);
   t0_ = std::chrono::steady_clock::now();
@@ -176,30 +185,30 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
     }
   }
 
-  auto deliver = [this](SiteId src, SiteId dst, std::vector<std::uint8_t> f) {
-    post(dst, [this, src, dst, f = std::move(f)] { on_frame(src, dst, f); });
+  const auto& topo = net_->topology();
+  for (SiteId i = 0; i < static_cast<SiteId>(n); ++i)
+    for (SiteId j = 0; j < static_cast<SiteId>(n); ++j)
+      link_delay_.emplace_back(static_cast<std::int64_t>(
+          static_cast<double>(topo.latency(i, j)) * cfg.delay_scale));
+  // A frame's decode runs on its destination's mailbox; on a delayed link
+  // it waits there as a timer. The delay is constant per link and frames
+  // arrive in link order, so their deadlines are too, and equal deadlines
+  // fall due in arming order: the link stays FIFO.
+  auto deliver = [this, n](SiteId src, SiteId dst,
+                           std::vector<std::uint8_t> f) {
+    Task decode = [this, src, dst, f = std::move(f)] { on_frame(src, dst, f); };
+    const auto d = link_delay_[std::size_t(src) * std::size_t(n) + dst];
+    if (d.count() == 0)
+      post(dst, std::move(decode));
+    else
+      mailboxes_[dst]->post_at(Mailbox::Clock::now() + d, std::move(decode));
   };
-  if (!cfg.peers.empty()) {
-    // Multi-process mesh: real sockets to peer processes, one per site.
-    transport_live_ = std::make_unique<LiveTransport>(
-        n, cfg.self, cfg.peers, wheel_, plane(), std::move(deliver));
-  } else {
-    transport_live_ =
-        std::make_unique<LiveTransport>(n, wheel_, plane(), std::move(deliver));
-  }
-  if (cfg.delay_scale > 0) {
-    const auto& topo = net_->topology();
-    for (SiteId i = 0; i < static_cast<SiteId>(n); ++i)
-      for (SiteId j = 0; j < static_cast<SiteId>(n); ++j) {
-        if (i == j) continue;
-        const auto d = static_cast<std::int64_t>(
-            static_cast<double>(topo.latency(i, j)) * cfg.delay_scale);
-        transport_live_->set_link_delay(i, j, std::chrono::nanoseconds(d));
-      }
-  }
+  transport_live_ = std::make_unique<LiveTransport>(
+      n, cfg.self, cfg.peers, plane(), std::move(deliver));
 
   // Telemetry: each site's mailbox thread records into that site's slot;
-  // the shared event-loop and timer-wheel threads share the runtime slot.
+  // the reactor thread and the mailboxes' timer fires share the runtime
+  // slot.
   // Live mode has concurrent writers per slot (site thread + transport
   // delivery + attendant), so force the atomic-RMW record path even if
   // the caller built the plane for a single-writer sim run.
@@ -207,13 +216,13 @@ LiveCluster::LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec)
   for (std::size_t i = 0; i < p.stats().slots(); ++i)
     p.stats().slot(i).set_single_writer(false);
   for (int s = 0; s < n; ++s)
-    mailboxes_[s]->set_stats(&p.slot(static_cast<SiteId>(s)));
+    mailboxes_[s]->set_stats(&p.slot(static_cast<SiteId>(s)),
+                             &p.runtime_slot());
   // Shard certifier workers record into their site's slot (atomic RMW
   // path — single-writer was just forced off above).
   for (std::size_t i = 0; i < shard_mailboxes_.size(); ++i)
     shard_mailboxes_[i]->set_stats(
         &p.slot(static_cast<SiteId>(i / std::size_t(shards_per_site()))));
-  wheel_.set_stats(&p.runtime_slot());
   transport_live_->reactor().set_stats(&p.runtime_slot());
 }
 
@@ -223,7 +232,6 @@ void LiveCluster::start() {
   if (started_) return;
   started_ = true;
   t0_ = std::chrono::steady_clock::now();
-  wheel_.start();
   transport_live_->start();
   // Hosted-site gating: in a multi-process deployment this process spawns
   // worker threads only for the site it hosts; the other sites' mailboxes
@@ -290,9 +298,6 @@ void LiveCluster::start() {
           });
     }
   }
-  wd.add_probe(
-      "timer_wheel", kNoSite, [this] { return wheel_.ticks(); },
-      [this] { return wheel_.armed(); });
   front::Reactor& r = transport_live_->reactor();
   wd.add_probe(
       "event_loop", kNoSite, [&r] { return r.wakeups(); },
@@ -305,10 +310,10 @@ void LiveCluster::stop() {
   // A supplied plane's watchdog outlives the cluster; drop its probes
   // before destroying the state they read.
   plane().watchdog().clear_probes();
-  // Order matters: silence the timer and I/O threads first so nothing new
-  // lands in a mailbox, then stop the site threads. Base-class teardown
-  // (replicas, oracle) happens only after every thread has joined.
-  wheel_.stop();
+  // Order matters: silence the reactor first so no new frame lands in a
+  // mailbox, then stop the site threads (a stopped mailbox discards its
+  // armed timers). Base-class teardown (replicas, oracle) happens only
+  // after every thread has joined.
   transport_live_->stop();
   // Shard workers before site threads: a certify task posted to a stopped
   // mailbox is dropped (Mailbox contract), never half-run on a dead thread.
@@ -327,7 +332,7 @@ std::uint64_t LiveCluster::site_total(obs::Counter c) const {
   return n;
 }
 
-void LiveCluster::post(SiteId at, std::function<void()> fn) {
+void LiveCluster::post(SiteId at, Task fn) {
   mailboxes_[at]->post(std::move(fn));
 }
 
@@ -338,16 +343,12 @@ SimTime LiveCluster::now() const {
 }
 
 void LiveCluster::run_after(SiteId at, SimDuration delay, Task fn) {
-  wheel_.schedule_after(
-      std::chrono::nanoseconds(delay),
-      [this, at, fn = std::move(fn).into_function()]() mutable {
-        post(at, std::move(fn));
-      });
+  mailboxes_[at]->post_at(
+      Mailbox::Clock::now() + std::chrono::nanoseconds(delay), std::move(fn));
 }
 
 void LiveCluster::run_local(SiteId at, SimDuration /*service*/, Task fn) {
-  // Real CPU is spent executing the work; the analytic charge is sim-only.
-  post(at, std::move(fn).into_function());
+  post(at, std::move(fn));
 }
 
 void LiveCluster::lock_shards(SiteId at, core::ShardSet s) {
@@ -432,7 +433,7 @@ void LiveCluster::with_apply_exclusion(SiteId at,
 
 void LiveCluster::client_request(SiteId coord, std::uint64_t /*bytes*/,
                                  Task fn) {
-  post(coord, std::move(fn).into_function());
+  post(coord, std::move(fn));
 }
 
 void LiveCluster::client_reply(SiteId /*coord*/, std::uint64_t /*bytes*/,
@@ -499,13 +500,6 @@ void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
   // this frame, so it must hit the socket first.
   flush_batch(from, to);
   transport_live_->send(from, to, w.data());
-}
-
-void LiveCluster::send_reconfig(SiteId /*from*/, SiteId to,
-                                core::ReconfigMsg m) {
-  post(to, [this, to, m = std::move(m)]() mutable {
-    replica(to).on_reconfig(std::move(m));
-  });
 }
 
 // --- inbound (always on dst's mailbox thread) --------------------------------

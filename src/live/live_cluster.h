@@ -2,11 +2,11 @@
 //
 // Inherits the entire protocol wiring from core::Cluster (partitioner,
 // oracle, replicas, group communication, plug-in spec) and overrides only
-// the scheduler seam, the ship hook and send_reconfig: time is the wall
-// clock, per-site work runs on a dedicated mailbox thread, and every
-// inter-site message (net::Msg) travels as real bytes through net::codec
-// over loopback TCP (live::LiveTransport) — or, when a site sends to
-// itself, is posted to its mailbox as the struct itself.
+// the scheduler seam and the ship hook: time is the wall clock, per-site
+// work runs on a dedicated mailbox thread, and every inter-site message
+// (net::Msg) travels as real bytes through net::codec over TCP
+// (live::LiveTransport) — or, when a site sends to itself, is posted to
+// its mailbox as the struct itself.
 //
 // Threading model
 //   * One thread per site drains that site's Mailbox; the replica and all
@@ -22,10 +22,12 @@
 //     (store chains, version index, recency window) safe to read off-thread.
 //     The verdict re-enters the site mailbox, so everything downstream of
 //     cast_vote stays single-threaded.
-//   * One event-loop thread moves bytes; it never touches protocol state —
-//     it posts decode+dispatch tasks to the destination's mailbox.
-//   * One timer-wheel thread fires run_after callbacks and emulated link
-//     delays, again only posting to mailboxes.
+//   * One reactor thread moves bytes; it never touches protocol state —
+//     it posts decode+dispatch tasks to the destination's mailbox, or, on
+//     a link with an emulated delay, arms them there as timers.
+//   * Timers (run_after) are armed on the site's own mailbox, which keeps
+//     them in deadline order and runs them as tasks when they fall due:
+//     one event queue per site, as in the simulator.
 //   * The version oracle is the one piece of engine state shared across
 //     sites (per-site clock slots live in one object); it is wrapped in a
 //     serializing mutex decorator at construction.
@@ -40,7 +42,8 @@
 //
 // What the simulator guarantees that live mode does not: determinism (thread
 // and network scheduling are real), analytic CPU cost accounting (real CPU
-// is spent instead), and fault injection (live runs are fault-free).
+// is spent instead), fault injection and durability (live runs are
+// fault-free and in-memory), and reconfiguration (membership is fixed).
 #pragma once
 
 #include <atomic>
@@ -58,16 +61,18 @@
 #include "core/shard.h"
 #include "live/live_transport.h"
 #include "live/mailbox.h"
-#include "live/timer_wheel.h"
 
 namespace gdur::live {
 
 struct LiveConfig {
-  /// Base deployment shape. Live mode is fault-free and in-memory:
-  /// `faults`, `durable` and `client_timeout` must stay at their defaults.
+  /// Base deployment shape. Live mode is fault-free and in-memory and runs
+  /// the fixed epoch-0 membership: the constructor throws
+  /// std::invalid_argument, naming the field, when `durable`, `faults`,
+  /// `client_timeout`, `term_timeout` or `reconfig` is set.
   core::ClusterConfig base;
   /// Emulated one-way link delay = topology latency × this factor
-  /// (0 = raw loopback). Lets live runs reproduce geo-replication spacing.
+  /// (0 = raw loopback). Lets live runs reproduce geo-replication spacing:
+  /// a frame's decode waits that long on the destination's mailbox.
   double delay_scale = 0.0;
   /// Coalesce small protocol messages (votes, decisions, Paxos rounds,
   /// stamp propagation) per destination into kBatch frames, flushed when
@@ -79,7 +84,7 @@ struct LiveConfig {
   /// only site `self` — threads, replica activity and watchdog probes are
   /// spawned for it alone, and the transport dials `peers` (one endpoint
   /// per site, boot order free) instead of building the in-process mesh.
-  /// kNoSite (default) hosts every site in this process (PR 4 behavior).
+  /// kNoSite (default) hosts every site in this process.
   SiteId self = kNoSite;
   std::vector<SiteEndpoint> peers;
 };
@@ -89,7 +94,8 @@ class LiveCluster : public core::Cluster {
   LiveCluster(const LiveConfig& cfg, core::ProtocolSpec spec);
   ~LiveCluster() override;
 
-  /// Spawns site threads, the event loop and the timer wheel. Call once.
+  /// Spawns the site and shard mailbox threads and the transport's
+  /// reactor. Call once.
   /// Lifecycle lane (gdur-thread-confinement): the thread tables below are
   /// only mutated here, in stop() and in the constructor/destructor.
   GDUR_CONFINED("lifecycle") void start();
@@ -97,7 +103,7 @@ class LiveCluster : public core::Cluster {
   GDUR_CONFINED("lifecycle") void stop();
 
   /// Posts `fn` to site `at`'s mailbox (any thread).
-  void post(SiteId at, std::function<void()> fn);
+  void post(SiteId at, Task fn);
   /// The wall-clock instant now() counts from.
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
     return t0_;
@@ -105,9 +111,10 @@ class LiveCluster : public core::Cluster {
 
   // --- scheduler seam ---------------------------------------------------
   [[nodiscard]] SimTime now() const override;
-  /// The engine hands these a Task; it moves into the std::function the
-  /// mailbox and the timer wheel queue (Task::into_function).
+  /// Arms `fn` as a timer on site `at`'s mailbox, due `delay` from now.
   void run_after(SiteId at, SimDuration delay, Task fn) override;
+  /// Posts `fn` to site `at`'s mailbox: real CPU is spent executing the
+  /// work, so the analytic `service` charge is sim-only.
   void run_local(SiteId at, SimDuration service, Task fn) override;
   /// Sharded certification (DESIGN.md §14): posts the verdict computation to
   /// the lead touched shard's worker thread, which takes the touched shard
@@ -125,12 +132,6 @@ class LiveCluster : public core::Cluster {
   void with_apply_exclusion(SiteId at,
                             const std::function<void()>& fn) override;
   [[nodiscard]] bool site_down(SiteId) const override { return false; }
-
-  /// Reconfiguration control messages take the in-process path: posted to
-  /// the destination site's mailbox, so handlers still run only on that
-  /// site's thread. (Live runs are fault-free; membership changes are rare
-  /// control traffic, not the measured data path.)
-  void send_reconfig(SiteId from, SiteId to, core::ReconfigMsg m) override;
 
   /// Frames / bytes (length prefixes included) put on inter-site links:
   /// the plane's kMsgsSent / kBytesSent summed over its site slots.
@@ -154,8 +155,6 @@ class LiveCluster : public core::Cluster {
   [[nodiscard]] bool hosted(SiteId s) const {
     return self_ == kNoSite || s == self_;
   }
-  /// The one site this process hosts, or kNoSite when it hosts them all.
-  [[nodiscard]] SiteId self_site() const { return self_; }
 
  protected:
   /// A client request posts straight onto the coordinator's mailbox; the
@@ -238,7 +237,9 @@ class LiveCluster : public core::Cluster {
   GDUR_CONFINED("lifecycle") std::vector<std::thread> shard_threads_;
   std::vector<SiteState> rx_state_;
   std::vector<Batcher> batchers_;
-  TimerWheel wheel_;
+  /// (src * sites + dst) -> emulated one-way delay (0 = none): topology
+  /// latency × LiveConfig::delay_scale.
+  std::vector<std::chrono::nanoseconds> link_delay_;
   std::unique_ptr<LiveTransport> transport_live_;
   std::chrono::steady_clock::time_point t0_;
   bool coalesce_ = false;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "checker/history.h"
@@ -37,70 +38,55 @@ void write_text_file(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
-/// Background observability attendant: scans the stall watchdog a few times
-/// a second and periodically writes plane snapshots when a prefix is
-/// configured (the snapshots are the live run's time series).
-class PlaneAttendant {
- public:
-  PlaneAttendant(LiveCluster& cluster, const LiveRunConfig& cfg)
-      : cl_(cluster), cfg_(cfg), plane_(cluster.plane()) {
-    if (!cfg_.snapshot_prefix.empty()) {
-      plane_.set_dump_sink([prefix = cfg_.snapshot_prefix](
-                               const char* /*reason*/, const std::string& text,
-                               const std::string& chrome_json) {
-        write_text_file(prefix + ".flight.txt", text);
-        write_text_file(prefix + ".flight.trace.json", chrome_json);
-      });
-    }
-    thread_ = std::thread([this] { loop(); });
+}  // namespace
+
+PlaneAttendant::PlaneAttendant(LiveCluster& cluster,
+                               std::string snapshot_prefix,
+                               double snapshot_every_secs)
+    : cl_(cluster),
+      plane_(cluster.plane()),
+      prefix_(std::move(snapshot_prefix)),
+      every_secs_(std::max(snapshot_every_secs, 0.05)) {
+  if (!prefix_.empty()) {
+    plane_.set_dump_sink([prefix = prefix_](const char* /*reason*/,
+                                            const std::string& text,
+                                            const std::string& chrome_json) {
+      write_text_file(prefix + ".flight.txt", text);
+      write_text_file(prefix + ".flight.trace.json", chrome_json);
+    });
   }
+  thread_ = std::thread([this] { loop(); });
+}
 
-  /// Runs one last scan + snapshot, then joins. Call before cluster.stop()
-  /// so the final scan still sees live probes.
-  void finish() {
-    if (!thread_.joinable()) return;
-    running_.store(false, std::memory_order_release);
-    thread_.join();
-  }
+void PlaneAttendant::finish() {
+  if (!thread_.joinable()) return;
+  running_.store(false, std::memory_order_release);
+  thread_.join();
+}
 
-  ~PlaneAttendant() { finish(); }
-
- private:
-  void loop() {
-    const auto snap_every =
-        std::chrono::duration_cast<steady_clock::duration>(
-            std::chrono::duration<double>(
-                std::max(cfg_.snapshot_every_secs, 0.05)));
-    auto next_snap = steady_clock::now() + snap_every;
-    while (running_.load(std::memory_order_acquire)) {
-      // gdur-lint: allow(live/blocking-call) attendant thread pacing, not the event loop
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      const SimTime now = cl_.now();
-      plane_.watchdog().scan(now);
-      if (!cfg_.snapshot_prefix.empty() && steady_clock::now() >= next_snap) {
-        snapshot(now);
-        next_snap += snap_every;
-      }
-    }
+void PlaneAttendant::loop() {
+  const auto snap_every = std::chrono::duration_cast<steady_clock::duration>(
+      std::chrono::duration<double>(every_secs_));
+  auto next_snap = steady_clock::now() + snap_every;
+  while (running_.load(std::memory_order_acquire)) {
+    // gdur-lint: allow(live/blocking-call) attendant thread pacing, not the event loop
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
     const SimTime now = cl_.now();
     plane_.watchdog().scan(now);
-    if (!cfg_.snapshot_prefix.empty()) snapshot(now);
+    if (!prefix_.empty() && steady_clock::now() >= next_snap) {
+      snapshot(now);
+      next_snap += snap_every;
+    }
   }
+  const SimTime now = cl_.now();
+  plane_.watchdog().scan(now);
+  if (!prefix_.empty()) snapshot(now);
+}
 
-  void snapshot(SimTime now) {
-    write_text_file(cfg_.snapshot_prefix + ".json", plane_.snapshot_json(now));
-    write_text_file(cfg_.snapshot_prefix + ".prom",
-                    plane_.snapshot_prometheus(now));
-  }
-
-  LiveCluster& cl_;
-  const LiveRunConfig& cfg_;
-  obs::ObsPlane& plane_;
-  std::atomic<bool> running_{true};
-  std::thread thread_;
-};
-
-}  // namespace
+void PlaneAttendant::snapshot(SimTime now) {
+  write_text_file(prefix_ + ".json", plane_.snapshot_json(now));
+  write_text_file(prefix_ + ".prom", plane_.snapshot_prometheus(now));
+}
 
 const char* criterion_of(const std::string& protocol) {
   return protocols::by_name(protocol).criterion;
@@ -138,7 +124,8 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
         });
 
   cluster.start();
-  PlaneAttendant attendant(cluster, cfg);
+  PlaneAttendant attendant(cluster, cfg.snapshot_prefix,
+                           cfg.snapshot_every_secs);
 
   LiveRunResult res;
   std::vector<std::unique_ptr<workload::ClientActor>> clients;

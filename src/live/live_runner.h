@@ -5,8 +5,10 @@
 // claimed criterion: the live counterpart of harness::run_experiment.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "harness/metrics.h"
 #include "obs/plane.h"
@@ -60,11 +62,8 @@ struct LiveRunConfig {
   double drain_secs = 2.0;
   obs::TraceRecorder* trace = nullptr;
   /// Production observability plane (telemetry, flight recorder, watchdog,
-  /// invariant monitor); nullptr = the cluster's own. Not owned. A
-  /// background thread always scans the watchdog and — if `snapshot_prefix`
-  /// is non-empty — periodically writes `<prefix>.json` / `<prefix>.prom`
-  /// snapshots and flight dumps to `<prefix>.flight.txt` /
-  /// `<prefix>.flight.trace.json`.
+  /// invariant monitor); nullptr = the cluster's own. Not owned. The run's
+  /// PlaneAttendant (below) scans its watchdog and writes the snapshots.
   obs::ObsPlane* plane = nullptr;
   double snapshot_every_secs = 1.0;
   std::string snapshot_prefix;
@@ -102,6 +101,38 @@ struct LiveRunResult {
   std::uint64_t watchdog_trips = 0;
   std::uint64_t invariant_violations = 0;
   std::uint64_t flight_dumps = 0;
+};
+
+class LiveCluster;
+
+/// Background observability attendant of a running LiveCluster, shared by
+/// run_live and the gdur_site process: a thread scans the plane's stall
+/// watchdog every 25 ms and, when `snapshot_prefix` is non-empty, writes
+/// `<prefix>.json` / `<prefix>.prom` snapshots every `snapshot_every_secs`
+/// (the run's time series) and sends flight dumps to `<prefix>.flight.txt`
+/// / `<prefix>.flight.trace.json`.
+class PlaneAttendant {
+ public:
+  PlaneAttendant(LiveCluster& cluster, std::string snapshot_prefix,
+                 double snapshot_every_secs = 1.0);
+  ~PlaneAttendant() { finish(); }
+  PlaneAttendant(const PlaneAttendant&) = delete;
+  PlaneAttendant& operator=(const PlaneAttendant&) = delete;
+
+  /// Runs one last scan and snapshot, then joins. Call before the
+  /// cluster's stop() so the final scan still sees live probes.
+  void finish();
+
+ private:
+  void loop();
+  void snapshot(SimTime now);
+
+  LiveCluster& cl_;
+  obs::ObsPlane& plane_;
+  std::string prefix_;
+  double every_secs_;
+  std::atomic<bool> running_{true};
+  std::thread thread_;
 };
 
 /// The consistency criterion registry protocol `protocol` claims (its

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -67,6 +68,49 @@ SiteId read_hello(int fd, int sites) {
   return static_cast<SiteId>(hello->arg);
 }
 
+/// Connects to `ep`, retrying every 50 ms until `deadline`: a peer process
+/// may still be booting (ECONNREFUSED just means "not yet"). In the
+/// in-process mesh every listener is bound already, so the first attempt
+/// succeeds.
+int dial(const SiteEndpoint& ep, steady_clock::time_point deadline) {
+  const sockaddr_in addr = make_addr(ep.host, ep.port);
+  for (;;) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) fail("socket");
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+        0)
+      return fd;
+    ::close(fd);
+    if (steady_clock::now() >= deadline) fail("peer connect timed out");
+    // gdur-lint: allow(live/blocking-call) boot-order retry pacing on the setup thread, before the reactor starts
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
+
+/// Accepts one inbound link on `lfd`, waiting for it until `deadline`. (The
+/// in-process mesh's links are queued already, so poll() returns at once.)
+int accept_by(int lfd, steady_clock::time_point deadline) {
+  pollfd p{lfd, POLLIN, 0};
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - steady_clock::now());
+    if (left.count() <= 0) fail("peer accept timed out");
+    // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
+    const int rc = ::poll(&p, 1, static_cast<int>(left.count()));
+    if (rc > 0) break;
+    if (rc < 0 && errno != EINTR) fail("poll");
+  }
+  // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
+  const int fd = ::accept(lfd, nullptr, nullptr);
+  if (fd < 0) fail("accept");
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
+}
+
 }  // namespace
 
 void LiveTransport::register_inbound(int conn, SiteId src, SiteId dst) {
@@ -75,180 +119,77 @@ void LiveTransport::register_inbound(int conn, SiteId src, SiteId dst) {
   in_link_[static_cast<std::size_t>(conn)] = {src, dst};
 }
 
-void LiveTransport::install_frame_handler() {
-  reactor_.set_frame_handler([this](int conn_id,
-                                    std::vector<std::uint8_t> f) {
-    if (static_cast<std::size_t>(conn_id) >= in_link_.size()) return;
-    const auto [src, dst] = in_link_[static_cast<std::size_t>(conn_id)];
-    if (src == kNoSite) return;  // write-only outbound link
-    const auto d = delay_[static_cast<std::size_t>(link_index(src, dst))];
-    if (d.count() == 0) {
-      deliver_(src, dst, std::move(f));
-    } else {
-      wheel_.schedule_after(d, [this, src, dst, f = std::move(f)]() mutable {
-        deliver_(src, dst, std::move(f));
-      });
-    }
-  });
-}
-
-LiveTransport::LiveTransport(int sites, TimerWheel& wheel, obs::ObsPlane& plane,
-                             Deliver deliver)
+LiveTransport::LiveTransport(int sites, SiteId self,
+                             std::vector<SiteEndpoint> peers,
+                             obs::ObsPlane& plane, Deliver deliver)
     : sites_(sites),
-      wheel_(wheel),
       plane_(plane),
       deliver_(std::move(deliver)),
-      out_conn_(static_cast<std::size_t>(sites) * sites, -1),
-      delay_(static_cast<std::size_t>(sites) * sites,
-             std::chrono::nanoseconds(0)) {
-  // 1. One listener per site on an ephemeral loopback port.
-  std::vector<int> listeners(sites, -1);
-  std::vector<std::uint16_t> ports(sites, 0);
-  for (int s = 0; s < sites; ++s) {
+      out_conn_(static_cast<std::size_t>(sites) * sites, -1) {
+  if (peers.empty()) peers.resize(static_cast<std::size_t>(sites));
+  if (peers.size() != static_cast<std::size_t>(sites)) {
+    errno = EINVAL;
+    fail("endpoint count != sites");
+  }
+  std::vector<SiteId> hosted;
+  for (SiteId s = 0; s < static_cast<SiteId>(sites); ++s)
+    if (self == kNoSite || s == self) hosted.push_back(s);
+  const auto deadline = steady_clock::now() + std::chrono::seconds(30);
+
+  // 1. Bind every hosted site's listener first, so peers dialing in any
+  //    boot order eventually succeed. A port of 0 binds an ephemeral one,
+  //    read back for the dialers below.
+  std::vector<int> listeners;
+  for (SiteId s : hosted) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) fail("socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr = make_addr(peers[s].host, peers[s].port);
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
       fail("bind");
     if (::listen(fd, sites) != 0) fail("listen");
     socklen_t len = sizeof addr;
     if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
       fail("getsockname");
-    listeners[s] = fd;
-    ports[s] = ntohs(addr.sin_port);
+    peers[s].port = ntohs(addr.sin_port);
+    listeners.push_back(fd);
   }
 
-  // 2. All connects first (the listen backlog holds them), each announcing
-  //    its source site with a framed ControlMsg hello.
-  for (int i = 0; i < sites; ++i) {
-    for (int j = 0; j < sites; ++j) {
+  // 2. Dial every other site from each hosted one (a listen backlog holds
+  //    the in-process mesh's links until step 3 accepts them).
+  for (SiteId i : hosted) {
+    for (SiteId j = 0; j < static_cast<SiteId>(sites); ++j) {
       if (i == j) continue;
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) fail("socket");
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(ports[j]);
-      // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
-        fail("connect");
-      send_hello(fd, static_cast<SiteId>(i));
+      const int fd = dial(peers[j], deadline);
+      send_hello(fd, i);
       const int conn = reactor_.add_connection(fd);
-      out_conn_[static_cast<std::size_t>(
-          link_index(static_cast<SiteId>(i), static_cast<SiteId>(j)))] = conn;
+      out_conn_[static_cast<std::size_t>(link_index(i, j))] = conn;
       // Outbound connections are write-only (the peer never sends on
       // them); keep in_link_ index-aligned with conn ids regardless.
       register_inbound(conn, kNoSite, kNoSite);
     }
   }
 
-  // 3. Accept and identify inbound connections at each site.
-  for (int j = 0; j < sites; ++j) {
+  // 3. Accept and identify each hosted site's inbound links, waiting out
+  //    straggling peers up to the deadline. Membership is static, so the
+  //    listener closes once every peer has dialed in.
+  for (std::size_t h = 0; h < hosted.size(); ++h) {
     for (int k = 0; k < sites - 1; ++k) {
-      // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-      const int fd = ::accept(listeners[j], nullptr, nullptr);
-      if (fd < 0) fail("accept");
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      const int fd = accept_by(listeners[h], deadline);
       const SiteId src = read_hello(fd, sites);
-      const int conn = reactor_.add_connection(fd);
-      register_inbound(conn, src, static_cast<SiteId>(j));
+      register_inbound(reactor_.add_connection(fd), src, hosted[h]);
     }
-    ::close(listeners[j]);
+    ::close(listeners[h]);
   }
 
-  install_frame_handler();
-}
-
-LiveTransport::LiveTransport(int sites, SiteId self,
-                             const std::vector<SiteEndpoint>& peers,
-                             TimerWheel& wheel, obs::ObsPlane& plane,
-                             Deliver deliver,
-                             std::chrono::seconds connect_deadline)
-    : sites_(sites),
-      wheel_(wheel),
-      plane_(plane),
-      deliver_(std::move(deliver)),
-      out_conn_(static_cast<std::size_t>(sites) * sites, -1),
-      delay_(static_cast<std::size_t>(sites) * sites,
-             std::chrono::nanoseconds(0)) {
-  if (peers.size() != static_cast<std::size_t>(sites)) {
-    errno = EINVAL;
-    fail("endpoint count != sites");
-  }
-  const auto deadline = steady_clock::now() + connect_deadline;
-
-  // 1. Bind this site's listener first, so peers dialing us in any boot
-  //    order eventually succeed.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (lfd < 0) fail("socket");
-  const int one = 1;
-  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in laddr = make_addr(peers[self].host, peers[self].port);
-  if (::bind(lfd, reinterpret_cast<sockaddr*>(&laddr), sizeof laddr) != 0)
-    fail("bind");
-  if (::listen(lfd, sites) != 0) fail("listen");
-
-  // 2. Dial every peer with bounded retries (their processes may still be
-  //    booting; ECONNREFUSED just means "not yet").
-  for (int j = 0; j < sites; ++j) {
-    if (j == static_cast<int>(self)) continue;
-    int fd = -1;
-    for (;;) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) fail("socket");
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      sockaddr_in addr = make_addr(peers[j].host, peers[j].port);
-      // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
-        break;
-      ::close(fd);
-      fd = -1;
-      if (steady_clock::now() >= deadline) fail("peer connect timed out");
-      // gdur-lint: allow(live/blocking-call) boot-order retry pacing on the setup thread, before the reactor starts
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    send_hello(fd, self);
-    const int conn = reactor_.add_connection(fd);
-    out_conn_[static_cast<std::size_t>(
-        link_index(self, static_cast<SiteId>(j)))] = conn;
-    register_inbound(conn, kNoSite, kNoSite);
-  }
-
-  // 3. Accept the peers' inbound links, waiting out stragglers up to the
-  //    deadline.
-  for (int k = 0; k < sites - 1; ++k) {
-    pollfd p{lfd, POLLIN, 0};
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - steady_clock::now());
-      if (left.count() <= 0) fail("peer accept timed out");
-      // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-      const int rc = ::poll(&p, 1, static_cast<int>(left.count()));
-      if (rc > 0) break;
-      if (rc < 0 && errno != EINTR) fail("poll");
-    }
-    // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) fail("accept");
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    const SiteId src = read_hello(fd, sites);
-    const int conn = reactor_.add_connection(fd);
-    register_inbound(conn, src, self);
-  }
-  ::close(lfd);  // static membership: nobody else will dial in
-
-  install_frame_handler();
-}
-
-void LiveTransport::set_link_delay(SiteId src, SiteId dst,
-                                   std::chrono::nanoseconds d) {
-  delay_[static_cast<std::size_t>(link_index(src, dst))] = d;
+  reactor_.set_frame_handler([this](int conn_id,
+                                    std::vector<std::uint8_t> f) {
+    if (static_cast<std::size_t>(conn_id) >= in_link_.size()) return;
+    const auto [src, dst] = in_link_[static_cast<std::size_t>(conn_id)];
+    if (src == kNoSite) return;  // write-only outbound link
+    deliver_(src, dst, std::move(f));
+  });
 }
 
 void LiveTransport::send(SiteId src, SiteId dst,

@@ -34,11 +34,9 @@ class Topology {
 
   /// Link bandwidth in bytes per simulated second (transmission delay model).
   [[nodiscard]] double bandwidth_bps() const { return bandwidth_; }
-  void set_bandwidth_bps(double bytes_per_second) { bandwidth_ = bytes_per_second; }
 
   /// Latency between a client machine and its co-located replica (LAN).
   [[nodiscard]] SimDuration client_latency() const { return client_latency_; }
-  void set_client_latency(SimDuration d) { client_latency_ = d; }
 
  private:
   Topology(int n) : n_(n), lat_(static_cast<std::size_t>(n) * n, 0) {}

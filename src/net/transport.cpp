@@ -148,6 +148,7 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
       }
       sim_.drop(h);
       ++fstats_.expired;  // crashed while the handler was queued
+      plane_.slot(dst).record(obs::Counter::kMsgsExpired);
     });
   });
 }

@@ -16,8 +16,8 @@
 // plane existed (the determinism and timeline goldens pin this).
 //
 // Slot layout: slot s < sites is site s; slot sites+0 is the shared live
-// runtime (event loop, timer wheel); ring r < sites is site r's flight
-// recorder ring.
+// runtime (the reactor thread's wakeups, every mailbox's timer fires); ring
+// r < sites is site r's flight recorder ring.
 #pragma once
 
 #include <cstdint>

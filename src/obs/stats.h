@@ -58,8 +58,8 @@ enum class Counter : std::uint8_t {
   kMsgsExpired,        // messages abandoned after give_up
   kOrderingMsgs,       // ordering-layer (Skeen) steps: proposals + finals
   kMailboxTasks,       // tasks executed by live mailbox threads
-  kTimerFires,         // live timer-wheel expirations
-  kLoopWakeups,        // live event-loop poll() returns
+  kTimerFires,         // live mailbox timers that fell due
+  kLoopWakeups,        // live reactor wakeups (epoll/poll returns)
   kFlightDumps,        // flight-recorder dumps emitted
   kInvariantViolations,// online invariant monitor trips
   kWatchdogTrips,      // stall watchdog trips

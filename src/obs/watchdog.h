@@ -4,9 +4,10 @@
 // whose head can never finalize — is silent: throughput goes to zero and
 // nothing reports why until the harness gives up minutes later. The
 // watchdog makes that loud. Every work queue in the system (live mailbox,
-// event loop, timer wheel, replica certification queue) registers a
-// *probe*: two cheap thread-safe reads, a monotone progress counter and a
-// pending-work gauge. A periodic scan then applies one rule:
+// with the timers that have fallen due; the reactor; replica certification
+// queue) registers a *probe*: two cheap thread-safe reads, a monotone
+// progress counter and a pending-work gauge. A periodic scan then applies
+// one rule:
 //
 //   pending > 0  AND  progress unchanged for >= stall_after  =>  trip
 //
@@ -14,10 +15,11 @@
 // bumps Counter::kWatchdogTrips and triggers a flight-recorder dump via
 // the plane's on_trip hook.
 //
-// The scan itself is NOT a hot path — it runs a few times per second from
-// the snapshot thread (live) or from a test harness (sim) — so it takes a
-// mutex. Probes must only read lock-free state (atomics), because they are
-// invoked from the scanning thread while site threads run.
+// The scan itself is NOT a hot path — it runs every 25 ms on the
+// live::PlaneAttendant thread (run_live, gdur_site) or from a test harness
+// (sim) — so it takes a mutex. Probes must only read lock-free state
+// (atomics), because they are invoked from the scanning thread while site
+// threads run.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +48,6 @@ class StallWatchdog {
 
   explicit StallWatchdog(SimDuration stall_after = seconds(2))
       : stall_after_(stall_after) {}
-
-  void set_stall_after(SimDuration d) {
-    MutexLock lock(&mu_);
-    stall_after_ = d;
-  }
 
   /// Registers a probe. The functions are retained for the watchdog's
   /// lifetime; call clear_probes() before tearing down what they read.
@@ -90,7 +87,7 @@ class StallWatchdog {
   };
 
   mutable Mutex mu_;
-  SimDuration stall_after_ GUARDED_BY(mu_);
+  const SimDuration stall_after_;
   std::vector<Cell> cells_ GUARDED_BY(mu_);
   std::uint64_t trips_ GUARDED_BY(mu_) = 0;
   std::vector<StallEvent> events_ GUARDED_BY(mu_);

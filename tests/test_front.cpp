@@ -14,11 +14,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <vector>
 
-#include "front/arena.h"
+#include "front/pool.h"
 #include "front/client.h"
 #include "front/reactor.h"
 #include "front/server.h"
@@ -192,39 +191,7 @@ TEST(Reactor, OversizedFrameDropsConnection) {
   r.stop();
 }
 
-// --- arena / pool ----------------------------------------------------------
-
-TEST(Arena, BlocksChainWithoutOverwriting) {
-  Arena a(/*block_bytes=*/256);
-  // Fill several blocks and verify every allocation keeps its bytes —
-  // regression for the advance() path when the active block fills.
-  std::vector<std::uint8_t*> ptrs;
-  for (int i = 0; i < 64; ++i) {
-    auto* p = static_cast<std::uint8_t*>(a.alloc(48));
-    std::memset(p, i, 48);
-    ptrs.push_back(p);
-  }
-  for (int i = 0; i < 64; ++i)
-    for (int k = 0; k < 48; ++k)
-      ASSERT_EQ(ptrs[static_cast<std::size_t>(i)][k], i) << "alloc " << i;
-  EXPECT_GE(a.blocks(), 8u);
-
-  // reset() recycles without growing.
-  const auto blocks = a.blocks();
-  a.reset();
-  for (int i = 0; i < 64; ++i) (void)a.alloc(48);
-  EXPECT_EQ(a.blocks(), blocks);
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedBlock) {
-  Arena a(128);
-  (void)a.alloc(32);
-  auto* big = static_cast<std::uint8_t*>(a.alloc(4096));
-  std::memset(big, 0xee, 4096);
-  auto* small = static_cast<std::uint8_t*>(a.alloc(32));
-  std::memset(small, 0x11, 32);
-  EXPECT_EQ(big[4095], 0xee);
-}
+// --- pool ------------------------------------------------------------------
 
 TEST(Pool, SteadyStateRecyclesNodes) {
   Pool<std::vector<int>> pool;

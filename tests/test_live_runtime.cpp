@@ -1,12 +1,17 @@
 // Unit tests for the live runtime building blocks (src/live/): mailbox
-// FIFO semantics, timer-wheel ordering, the transport's exactly-once
-// FIFO-per-link delivery over real loopback TCP, the wall-clock pacer's
-// latency anchor, and short end-to-end checker-verified runs.
+// FIFO semantics and mailbox timers, the transport's exactly-once
+// FIFO-per-link delivery over real loopback TCP, emulated link delays, the
+// wall-clock pacer's latency anchor, the stall watchdog over a live
+// cluster, and short end-to-end checker-verified runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <future>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +23,6 @@
 #include "live/live_transport.h"
 #include "live/mailbox.h"
 #include "live/pacer.h"
-#include "live/timer_wheel.h"
 #include "obs/plane.h"
 #include "protocols/protocols.h"
 #include "workload/client.h"
@@ -80,82 +84,174 @@ TEST(Mailbox, PostAfterStopIsDropped) {
   EXPECT_FALSE(ran.load());
 }
 
-TEST(TimerWheel, FiresInDeadlineOrderAndFifoWithinSlot) {
-  TimerWheel tw;
-  tw.start();
-  std::mutex mu;
-  std::vector<int> order;
-  auto mark = [&mu, &order](int id) {
-    return [&mu, &order, id] {
-      std::lock_guard lk(mu);
-      order.push_back(id);
-    };
+TEST(Mailbox, TimersFallDueInDeadlineOrderAndFifoOnTies) {
+  Mailbox mb;
+  std::vector<int> order;  // consumer thread only
+  auto mark = [&order](int id) {
+    return [&order, id] { order.push_back(id); };
   };
-  // Scheduled out of deadline order; 10/11/12 share a slot and must keep
-  // their scheduling order.
-  tw.schedule_after(40ms, mark(3));
-  tw.schedule_after(10ms, mark(10));
-  tw.schedule_after(10ms, mark(11));
-  tw.schedule_after(10ms, mark(12));
-  tw.schedule_after(25ms, mark(2));
-  std::this_thread::sleep_for(120ms);
-  tw.stop();
+  // Armed out of deadline order; 10/11/12 share a deadline and must keep
+  // their arming order.
+  const auto t0 = Mailbox::Clock::now();
+  mb.post_at(t0 + 40ms, mark(3));
+  mb.post_at(t0 + 10ms, mark(10));
+  mb.post_at(t0 + 10ms, mark(11));
+  mb.post_at(t0 + 10ms, mark(12));
+  mb.post_at(t0 + 25ms, mark(2));
+  mb.post_at(t0 + 60ms, [&mb] { mb.stop(); });
+  mb.run();  // consumer on this thread; the last timer ends it
   const std::vector<int> want{10, 11, 12, 2, 3};
   EXPECT_EQ(order, want);
-  EXPECT_EQ(tw.scheduled(), 5u);
 }
 
-TEST(TimerWheel, NeverFiresEarly) {
-  TimerWheel tw;
-  tw.start();
-  const auto t0 = TimerWheel::Clock::now();
-  std::atomic<std::int64_t> fired_after_us{-1};
-  tw.schedule_after(20ms, [&] {
-    fired_after_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
-                             TimerWheel::Clock::now() - t0)
-                             .count());
+TEST(Mailbox, TimerNeverFallsDueEarly) {
+  Mailbox mb;
+  const auto t0 = Mailbox::Clock::now();
+  int early = 0;
+  int fired = 0;
+  for (int i = 0; i < 40; ++i) {
+    const auto at = t0 + std::chrono::microseconds(500 * i + 37 * (i % 7));
+    mb.post_at(at, [at, &early, &fired] {
+      early += Mailbox::Clock::now() < at ? 1 : 0;
+      ++fired;
+    });
+  }
+  std::int64_t after_us = -1;
+  mb.post_at(t0 + 20ms, [&] {
+    after_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                   Mailbox::Clock::now() - t0)
+                   .count();
+    mb.stop();
   });
-  std::this_thread::sleep_for(80ms);
-  tw.stop();
-  ASSERT_GE(fired_after_us.load(), 0) << "timer never fired";
-  EXPECT_GE(fired_after_us.load(), 20'000);
+  mb.run();
+  EXPECT_EQ(fired, 40);
+  EXPECT_EQ(early, 0);
+  EXPECT_GE(after_us, 20'000);
 }
 
-TEST(TimerWheel, TimerArmedIntoAnIdleWheelIsNotSkipped) {
-  // The idle wheel thread wakes a little after a timer is armed. Arming
-  // just before a tick boundary makes that wake-up land past it; the wheel
-  // must still fire the timer's slot rather than jump over it (a skipped
-  // slot comes round again only after a full 4,096-tick revolution).
-  TimerWheel tw;
-  const auto t0 = TimerWheel::Clock::now();
-  tw.start();
+TEST(Mailbox, TimerArmedIntoAnIdleMailboxFires) {
+  // The consumer blocks with nothing runnable and nothing armed; each timer
+  // armed from this thread, 0-90 us out, must still fall due and run.
+  Mailbox mb;
+  std::thread consumer([&mb] { mb.run(); });
   std::atomic<int> fired{0};
   constexpr int kTimers = 100;
   for (int i = 0; i < kTimers; ++i) {
-    // Boundaries are t0 + k ms (give or take the start-up microseconds);
-    // arm 0-90 us before one, each timer on an idle wheel.
-    std::this_thread::sleep_until(t0 + std::chrono::milliseconds(3 * i + 3) -
-                                  std::chrono::microseconds(10 * (i % 10)));
-    tw.schedule_after(0ns, [&fired] { fired.fetch_add(1); });
-    const auto deadline = TimerWheel::Clock::now() + 2ms;
-    while (fired.load() <= i && TimerWheel::Clock::now() < deadline) {
-    }
+    std::this_thread::sleep_for(200us);  // let the consumer go idle again
+    mb.post_at(Mailbox::Clock::now() + std::chrono::microseconds(10 * (i % 10)),
+               [&fired] { fired.fetch_add(1); });
+    const auto deadline = Mailbox::Clock::now() + 1s;
+    while (fired.load() <= i && Mailbox::Clock::now() < deadline)
+      std::this_thread::sleep_for(50us);
   }
-  // Well short of the 4 s a skipped slot waits for its next revolution.
-  const auto deadline = TimerWheel::Clock::now() + 1s;
-  while (fired.load() < kTimers && TimerWheel::Clock::now() < deadline)
-    std::this_thread::sleep_for(1ms);
-  tw.stop();
+  mb.stop();
+  consumer.join();
   EXPECT_EQ(fired.load(), kTimers);
 }
 
-TEST(TimerWheel, StopDiscardsPendingAndJoins) {
-  TimerWheel tw;
-  tw.start();
+TEST(Mailbox, TimerArmedFromAnotherThreadWakesAWaitingConsumer) {
+  // The consumer waits for a deadline 10 s out; a nearer timer armed from
+  // another thread must end that wait, not fall due with the far one.
+  Mailbox mb;
+  mb.post_at(Mailbox::Clock::now() + 10s, [] {});
+  std::thread consumer([&mb] { mb.run(); });
+  std::this_thread::sleep_for(20ms);  // the consumer is waiting now
   std::atomic<bool> ran{false};
-  tw.schedule_after(10s, [&ran] { ran.store(true); });
-  tw.stop();  // must not wait 10 s
+  const auto armed = Mailbox::Clock::now();
+  std::thread armer([&mb, &ran] {
+    mb.post_at(Mailbox::Clock::now() + 1ms, [&ran] { ran.store(true); });
+  });
+  armer.join();
+  while (!ran.load() && Mailbox::Clock::now() < armed + 5s)
+    std::this_thread::sleep_for(100us);
+  EXPECT_TRUE(ran.load());
+  mb.stop();
+  consumer.join();
+}
+
+// The consumer waits for the earliest deadline with the lock released;
+// timers armed meanwhile grow (and reallocate) the heap, and stop()
+// discards it, so the wait must not hold on to the heap's storage (an
+// AddressSanitizer build reports the dangling read).
+TEST(Mailbox, ArmingWhileTheConsumerWaitsLeavesItsDeadlineIntact) {
+  Mailbox mb;
+  mb.post_at(Mailbox::Clock::now() + 10s, [] {});
+  std::thread consumer([&mb] { mb.run(); });
+  std::this_thread::sleep_for(10ms);  // the consumer is waiting now
+  for (int i = 0; i < 1000; ++i)
+    mb.post_at(Mailbox::Clock::now() + 20s, [] {});
+  std::atomic<bool> ran{false};
+  mb.post_at(Mailbox::Clock::now() + 1ms, [&ran] { ran.store(true); });
+  const auto deadline = Mailbox::Clock::now() + 5s;
+  while (!ran.load() && Mailbox::Clock::now() < deadline)
+    std::this_thread::sleep_for(100us);
+  EXPECT_TRUE(ran.load());
+  mb.stop();
+  consumer.join();
+}
+
+TEST(Mailbox, StopDiscardsArmedTimersWithoutWaiting) {
+  Mailbox mb;
+  std::thread consumer([&mb] { mb.run(); });
+  auto probe = std::make_shared<int>(0);
+  std::atomic<bool> ran{false};
+  mb.post_at(Mailbox::Clock::now() + 10s, [probe, &ran] { ran.store(true); });
+  const auto t0 = Mailbox::Clock::now();
+  mb.stop();  // must not wait 10 s
+  consumer.join();
+  EXPECT_LT(Mailbox::Clock::now() - t0, 5s);
   EXPECT_FALSE(ran.load());
+  EXPECT_EQ(probe.use_count(), 1) << "a discarded timer is destroyed";
+  mb.post_at(Mailbox::Clock::now(), [probe] {});  // armed after stop: dropped
+  EXPECT_EQ(probe.use_count(), 1);
+  EXPECT_EQ(mb.posted(), mb.executed());
+}
+
+// An armed timer is not work: it enters posted(), executed() and the
+// mailbox-task counter only when it falls due and runs, and is counted as a
+// timer fire in the runtime slot when it falls due. So an idle site holding
+// far-off timers reads zero pending to the watchdog.
+TEST(Mailbox, TimerCountsAsWorkOnlyOnceItFallsDue) {
+  obs::StatsSlot tasks;
+  obs::StatsSlot timers;
+  Mailbox mb;
+  mb.set_stats(&tasks, &timers);
+  std::atomic<bool> ran{false};
+  mb.post_at(Mailbox::Clock::now() + 10s, [] {});  // like a term-state GC timer
+  mb.post_at(Mailbox::Clock::now() + 30ms, [&ran] { ran.store(true); });
+  EXPECT_EQ(mb.posted(), 0u);
+  std::thread consumer([&mb] { mb.run(); });
+  const auto deadline = Mailbox::Clock::now() + 5s;
+  while (mb.executed() < 1 && Mailbox::Clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(mb.posted(), 1u);
+  EXPECT_EQ(mb.executed(), 1u);
+  mb.stop();
+  consumer.join();
+  EXPECT_EQ(mb.posted(), 1u) << "the discarded far timer never became work";
+  EXPECT_EQ(tasks.value(obs::Counter::kMailboxTasks), 1u);
+  EXPECT_EQ(timers.value(obs::Counter::kTimerFires), 1u);
+}
+
+// The idle hook (the coalescing flush) runs whenever nothing is runnable,
+// armed-but-not-due timers or not.
+TEST(Mailbox, IdleHookRunsWhileOnlyFutureTimersAreArmed) {
+  Mailbox mb;
+  std::atomic<int> idles{0};
+  mb.set_idle([&idles] { idles.fetch_add(1); });
+  mb.post_at(Mailbox::Clock::now() + 10s, [] {});
+  std::thread consumer([&mb] { mb.run(); });
+  const auto deadline = Mailbox::Clock::now() + 5s;
+  while (idles.load() < 1 && Mailbox::Clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_GE(idles.load(), 1);
+  mb.post([] {});
+  while (idles.load() < 2 && Mailbox::Clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_GE(idles.load(), 2) << "the hook runs again once the task is done";
+  mb.stop();
+  consumer.join();
 }
 
 // Transport fixture: N sites, every delivered frame recorded per link.
@@ -165,7 +261,6 @@ struct TransportRig {
     std::vector<std::vector<std::uint8_t>> frames;
   };
 
-  TimerWheel wheel;
   obs::ObsPlane plane;
   std::vector<std::vector<Rx>> rx;  // [src][dst]
   std::unique_ptr<LiveTransport> tp;
@@ -178,9 +273,8 @@ struct TransportRig {
       std::vector<Rx> tmp(static_cast<std::size_t>(sites));
       row.swap(tmp);
     }
-    wheel.start();
     tp = std::make_unique<LiveTransport>(
-        sites, wheel, plane,
+        sites, kNoSite, std::vector<SiteEndpoint>{}, plane,
         [this](SiteId src, SiteId dst, std::vector<std::uint8_t> frame) {
           auto& slot = rx[src][dst];
           std::lock_guard lk(slot.mu);
@@ -189,10 +283,7 @@ struct TransportRig {
     tp->start();
   }
 
-  ~TransportRig() {
-    tp->stop();
-    wheel.stop();
-  }
+  ~TransportRig() { tp->stop(); }
 
   std::size_t total_received() {
     std::size_t n = 0;
@@ -245,23 +336,6 @@ TEST(LiveTransport, ExactlyOnceFifoPerLink) {
                   numbered_frame(s, d, i))
             << "link " << int(s) << "->" << int(d) << " frame " << i;
     }
-}
-
-TEST(LiveTransport, DelayedLinkPreservesFifo) {
-  constexpr int kSites = 2, kFrames = 50;
-  TransportRig rig(kSites);
-  rig.tp->set_link_delay(0, 1, 5ms);
-  for (int i = 0; i < kFrames; ++i) rig.tp->send(0, 1, numbered_frame(0, 1, i));
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (rig.total_received() < kFrames &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(2ms);
-  auto& slot = rig.rx[0][1];
-  std::lock_guard lk(slot.mu);
-  ASSERT_EQ(slot.frames.size(), static_cast<std::size_t>(kFrames));
-  for (int i = 0; i < kFrames; ++i)
-    EXPECT_EQ(slot.frames[static_cast<std::size_t>(i)],
-              numbered_frame(0, 1, i));
 }
 
 // End-to-end: a real (short) run over loopback TCP must be checker-clean.
@@ -478,6 +552,184 @@ TEST(LiveCluster, SiteLogLinesAreNotStampedWithAnIdleSimulatorsTime) {
   const std::string err = testing::internal::GetCapturedStderr();
   ASSERT_NE(err.find("live log clock probe"), std::string::npos) << err;
   EXPECT_EQ(err.find("0.000000s"), std::string::npos) << err;
+}
+
+// A delayed link's frames wait on the destination's mailbox as timers: they
+// keep the link's FIFO order and never arrive early. Each remote read from
+// site 0 crosses the delayed 0->1 link and comes back on 1->0, so it
+// completes no sooner than both delays after it was issued, and the reads
+// complete in the order they were issued.
+TEST(LiveCluster, DelayedLinkPreservesFifo) {
+  constexpr int kReads = 50;
+  constexpr double kScale = 0.25;  // 10-20 ms topology links -> 2.5-5 ms
+  LiveConfig lc;
+  lc.base.sites = 2;
+  lc.base.objects_per_site = 64;
+  lc.delay_scale = kScale;
+  LiveCluster cl(lc, protocols::rc());
+  const auto& topo = cl.transport().topology();
+  const auto delay = [&](SiteId a, SiteId b) {
+    return static_cast<SimDuration>(
+        static_cast<double>(topo.latency(a, b)) * kScale);
+  };
+  const SimDuration round_trip = delay(0, 1) + delay(1, 0);
+  ASSERT_GT(round_trip, milliseconds(1));
+  ObjectId x = 0;
+  while (!cl.partitioner().is_local(1, x)) ++x;
+  cl.start();
+
+  std::vector<int> order;           // site 0's thread only
+  std::vector<SimDuration> took;    // likewise
+  std::atomic<int> done{0};
+  cl.begin(0, [&](core::MutTxnPtr t) {
+    for (int i = 0; i < kReads; ++i) {
+      const SimTime sent = cl.now();
+      cl.remote_read(0, 1, t, x, [&, i, sent](bool) {
+        order.push_back(i);
+        took.push_back(cl.now() - sent);
+        done.fetch_add(1);
+      });
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (done.load() < kReads && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  cl.stop();
+  ASSERT_EQ(done.load(), kReads) << "remote reads did not finish";
+  for (int i = 0; i < kReads; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i) << "read " << i;
+    EXPECT_GE(took[static_cast<std::size_t>(i)], round_trip) << "read " << i;
+  }
+}
+
+// Live mode is fault-free, in-memory and runs fixed membership: a setting
+// it cannot honour is refused by name, not silently dropped.
+TEST(LiveCluster, RefusesSettingsItCannotHonour) {
+  LiveConfig lc;
+  lc.base.sites = 2;
+  lc.base.objects_per_site = 64;
+  const auto refusal = [](const LiveConfig& c) -> std::string {
+    try {
+      LiveCluster cl(c, protocols::rc());
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  LiveConfig reconfig = lc;
+  reconfig.base.reconfig.start_with({0, 1}).join(1, seconds(1));
+  EXPECT_NE(refusal(reconfig).find("reconfig"), std::string::npos);
+  LiveConfig faults = lc;
+  faults.base.faults.drop_all(0.1);
+  EXPECT_NE(refusal(faults).find("faults"), std::string::npos);
+}
+
+// A site thread wedged inside a task while its timers fall due trips the
+// mailbox probe LiveCluster registers — and only that probe.
+TEST(LiveCluster, WedgedSiteWithDueTimersTripsTheMailboxProbe) {
+  obs::ObsPlane plane(obs::ObsPlaneConfig{2, 64, milliseconds(50)});
+  LiveConfig lc;
+  lc.base.sites = 2;
+  lc.base.objects_per_site = 64;
+  lc.base.plane = &plane;
+  LiveCluster cl(lc, protocols::rc());
+  cl.start();
+  std::promise<void> unwedge;
+  std::promise<void> wedged;
+  std::atomic<int> fired{0};
+  cl.post(0, [&] {
+    wedged.set_value();
+    unwedge.get_future().wait();
+  });
+  wedged.get_future().wait();
+  for (int i = 0; i < 3; ++i)
+    cl.run_after(0, milliseconds(1), [&fired] { fired.fetch_add(1); });
+  std::this_thread::sleep_for(10ms);  // the timers are due now
+
+  auto& wd = plane.watchdog();
+  wd.scan(0);                 // baseline
+  wd.scan(milliseconds(10));  // arms the stall window
+  EXPECT_EQ(wd.scan(milliseconds(100)), 1);
+  const auto ev = wd.events();
+  ASSERT_EQ(ev.size(), 1u);
+  EXPECT_EQ(ev[0].probe, "mailbox");
+  EXPECT_EQ(ev[0].site, 0u);
+
+  unwedge.set_value();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (fired.load() < 3 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  cl.stop();
+  EXPECT_EQ(fired.load(), 3);
+}
+
+bool file_has_text(const std::string& path) {
+  std::ifstream in(path);
+  return in && in.peek() != std::ifstream::traits_type::eof();
+}
+
+// The attendant gdur_site and run_live share: a site thread blocked past
+// stall_after trips the watchdog once for the episode, and the trip's
+// flight dump lands next to the snapshots.
+TEST(PlaneAttendant, BlockedSiteThreadTripsOnceAndDumps) {
+  const std::string prefix = testing::TempDir() + "attendant_blocked";
+  std::remove((prefix + ".flight.txt").c_str());
+  obs::ObsPlane plane(obs::ObsPlaneConfig{2, 64, milliseconds(100)});
+  LiveConfig lc;
+  lc.base.sites = 2;
+  lc.base.objects_per_site = 64;
+  lc.base.plane = &plane;
+  LiveCluster cl(lc, protocols::rc());
+  cl.start();
+  PlaneAttendant attendant(cl, prefix, 0.05);
+  std::promise<void> unwedge;
+  cl.post(0, [f = unwedge.get_future().share()] { f.wait(); });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (plane.watchdog().trips() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  std::this_thread::sleep_for(300ms);  // 3 x stall_after more, same episode
+  unwedge.set_value();
+  attendant.finish();
+  cl.stop();
+  EXPECT_EQ(plane.watchdog().trips(), 1u);
+  EXPECT_EQ(plane.dumps(), 1u);
+  EXPECT_TRUE(file_has_text(prefix + ".flight.txt"));
+  EXPECT_TRUE(file_has_text(prefix + ".json"));
+}
+
+// After a burst of transactions every participant holds term-state GC
+// timers, seconds out. Those are not work: an idle cluster holding only
+// them scans clean for 3 x stall_after.
+TEST(PlaneAttendant, IdleClusterHoldingGcTimersNeverTrips) {
+  constexpr int kSites = 3;
+  obs::ObsPlane plane(obs::ObsPlaneConfig{kSites, 64, milliseconds(100)});
+  LiveConfig lc;
+  lc.base.sites = kSites;
+  lc.base.objects_per_site = 1024;
+  lc.base.plane = &plane;
+  LiveCluster cl(lc, protocols::by_name("P-Store"));
+  cl.start();
+  std::atomic<int> done{0};
+  std::vector<std::shared_ptr<TxnChain>> chains;
+  for (SiteId s = 0; s < kSites; ++s) {
+    chains.push_back(std::make_shared<TxnChain>(cl, s, 40, done));
+    cl.post(s, [c = chains.back()] { c->next(); });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (done.load() < kSites && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  ASSERT_EQ(done.load(), kSites) << "transactions did not finish";
+  PlaneAttendant attendant(cl, "");
+  std::this_thread::sleep_for(300ms);  // idle: the attendant keeps scanning
+  attendant.finish();
+  std::uint64_t committed = 0;
+  for (SiteId s = 0; s < kSites; ++s)
+    committed += plane.slot(s).value(obs::Counter::kTxnCommitted);
+  cl.stop();
+  EXPECT_GT(committed, 0u);
+  EXPECT_EQ(plane.watchdog().trips(), 0u);
+  EXPECT_EQ(plane.dumps(), 0u);
 }
 
 }  // namespace

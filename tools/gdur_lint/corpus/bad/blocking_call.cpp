@@ -1,8 +1,7 @@
 // lint-as: src/live/blocking_call.cpp
 //
 // Lint fixture (never compiled): blocking a live-runtime thread — a site
-// mailbox, the reactor or the timer wheel. One site is legitimately allowed
-// with a reason.
+// mailbox or the reactor. One site is legitimately allowed with a reason.
 
 #include <chrono>
 #include <thread>

@@ -904,8 +904,9 @@ def run_rules(files: list[SourceFile],
         if in_scope_blocking(sf.path):
             check_patterns(
                 sf, BLOCKING_PATTERNS, "live/blocking-call",
-                "can block a live-runtime thread (site mailbox, reactor, "
-                "timer wheel); only the reactor's wait may block", diags)
+                "can block a live-runtime thread (site mailbox, reactor); "
+                "only the reactor's wait and a mailbox's wait for its next "
+                "task or deadline may block", diags)
         if in_scope_dispatch(sf.path):
             check_dispatch_alloc(sf, diags)
         if in_scope_spec(sf.path):
