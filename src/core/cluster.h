@@ -213,10 +213,11 @@ class Cluster : public comm::Port {
   /// site belongs to the one epoch-0 view, so the epoch fences pass; the
   /// flag gates only what reconfiguration adds (DESIGN.md §12.4).
   [[nodiscard]] bool reconfig_enabled() const { return reconfig_enabled_; }
-  /// Reconfiguration-protocol message (prepare/ack/activate/state transfer).
-  /// ReconfigMsg has no codec, so it keeps its own path: the live backend
-  /// delivers it in-process.
-  virtual void send_reconfig(SiteId from, SiteId to, ReconfigMsg m);
+  /// Reconfiguration-protocol message (prepare/ack/activate/state transfer)
+  /// over the simulator's transport — the one inter-site message outside
+  /// net::Msg. ReconfigMsg has no codec, and the live backend refuses a
+  /// ReconfigPlan, so this path is the simulator's own.
+  void send_reconfig(SiteId from, SiteId to, ReconfigMsg m);
 
   /// Certification leader of partition `p` for transactions of epoch `e`.
   /// Group-communication certification counts only leader votes once

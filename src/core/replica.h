@@ -179,13 +179,19 @@ class Replica {
     db_.install(o, std::move(v));
   }
 
-  /// Why a decided transaction aborted here (kNone if committed or if this
-  /// replica never learned the outcome). Clients query their coordinator's
-  /// cache to classify aborts for the abort-reason taxonomy.
-  [[nodiscard]] obs::AbortReason outcome_reason(const TxnId& id) const {
+  /// Why a transaction this replica coordinated was aborted, for the
+  /// abort-reason taxonomy. Every client (workload flows, the front door)
+  /// classifies through here: an execution-phase failure is a snapshot
+  /// miss; a termination abort carries the reason in the decided cache
+  /// (kCertConflict if the entry already aged out).
+  [[nodiscard]] obs::AbortReason abort_reason(const TxnId& id,
+                                              bool exec_failure) const {
+    if (exec_failure) return obs::AbortReason::kSnapshotFailure;
     auto it = decided_cache_.find(id);
-    return it == decided_cache_.end() ? obs::AbortReason::kNone
-                                      : it->second.reason;
+    return it == decided_cache_.end() ||
+                   it->second.reason == obs::AbortReason::kNone
+               ? obs::AbortReason::kCertConflict
+               : it->second.reason;
   }
 
   // ------------------------------------------------------------------

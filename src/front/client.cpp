@@ -16,13 +16,14 @@ namespace gdur::front {
 
 namespace codec = net::codec;
 
+namespace {
+constexpr auto kConnectTimeout = std::chrono::seconds(10);
+}  // namespace
+
 GdurClient::~GdurClient() { close(); }
 
 bool GdurClient::connect() {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::duration<double>(cfg_.connect_timeout_s));
+  const auto deadline = std::chrono::steady_clock::now() + kConnectTimeout;
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(cfg_.port);

@@ -37,8 +37,6 @@ namespace gdur::front {
 struct ClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// connect() retries refused dials (site still booting) up to this long.
-  double connect_timeout_s = 10.0;
 };
 
 class GdurClient {
@@ -54,7 +52,8 @@ class GdurClient {
   GdurClient(const GdurClient&) = delete;
   GdurClient& operator=(const GdurClient&) = delete;
 
-  /// Dials, performs hello/welcome, spawns the reader thread.
+  /// Dials, performs hello/welcome, spawns the reader thread. Refused
+  /// dials (site still booting) are retried for up to 10 s.
   [[nodiscard]] bool connect();
   void close();
 

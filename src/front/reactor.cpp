@@ -3,17 +3,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/stats.h"
@@ -26,6 +24,11 @@ constexpr std::uint64_t kListenerBit = 1ull << 63;
 constexpr std::size_t kHdr = net::kFrameHeader;
 constexpr int kMaxEvents = 128;
 constexpr int kMaxIov = 64;
+// TCP keepalive for accepted connections: a wedged client host must not pin
+// a session forever.
+constexpr int kKeepaliveIdleS = 30;
+constexpr int kKeepaliveIntervalS = 5;
+constexpr int kKeepaliveCount = 3;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -87,28 +90,18 @@ Reactor::Conn* Reactor::conn_at(int conn_id) const {
   return conns_[static_cast<std::size_t>(conn_id)].get();
 }
 
-std::size_t Reactor::conn_count() const {
-  MutexLock lock(&conns_mu_);
-  return conns_.size();
-}
-
 void Reactor::start() {
   if (running_ || wake_pipe_[0] < 0) return;
-#ifdef __linux__
-  if (cfg_.use_epoll) {
-    epfd_ = ::epoll_create1(0);
-    if (epfd_ < 0) {
-      GDUR_WARN("front: epoll_create1 failed (%s); using poll() backend",
-                std::strerror(errno));
-    }
-  }
-#endif
+  epfd_ = ::epoll_create1(0);
+  if (epfd_ < 0)
+    throw std::runtime_error(std::string("front: epoll_create1 failed: ") +
+                             std::strerror(errno));
   {
     MutexLock lock(&ctl_mu_);
     stopping_ = false;
   }
   running_ = true;
-  thread_ = std::thread([this] { loop(); });
+  thread_ = std::thread([this] { run_epoll(); });
 }
 
 void Reactor::stop() {
@@ -120,25 +113,14 @@ void Reactor::stop() {
   wake();
   thread_.join();
   running_ = false;
-  if (epfd_ >= 0) {
-    ::close(epfd_);
-    epfd_ = -1;
-  }
+  ::close(epfd_);
+  epfd_ = -1;
 }
 
 void Reactor::wake() {
   if (wake_pipe_[1] < 0) return;
   const char b = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
-}
-
-void Reactor::post(std::function<void()> fn) {
-  {
-    MutexLock lock(&ctl_mu_);
-    if (stopping_) return;
-    tasks_.push_back(std::move(fn));
-  }
-  wake();
 }
 
 void Reactor::mark_dirty(int conn_id) {
@@ -149,80 +131,55 @@ void Reactor::mark_dirty(int conn_id) {
 void Reactor::send_frame(int conn_id, std::vector<std::uint8_t> body) {
   Conn* c = conn_at(conn_id);
   if (c == nullptr) return;
-  if (body.size() > cfg_.max_frame) {
+  if (body.size() > net::kMaxFrame) {
     GDUR_ERROR("front: refusing oversized frame (%zu bytes)", body.size());
     return;
   }
   const std::uint64_t total = body.size() + kHdr;
   {
     MutexLock lock(&c->out_mu);
+    // mark_dead sets `dead` under this lock before its final clear: a frame
+    // checked in here is either flushed or abandoned by it, never stranded.
+    if (c->dead.load(std::memory_order_relaxed)) return;
     OutMsg m;
     m.hdr = net::frame_header(static_cast<std::uint32_t>(body.size()));
     m.body = std::move(body);  // zero-copy: gathered into writev later
     c->out.push_back(std::move(m));
+    c->out_bytes.fetch_add(total, std::memory_order_relaxed);
+    queued_bytes_.fetch_add(total, std::memory_order_relaxed);
   }
-  c->out_bytes.fetch_add(total, std::memory_order_relaxed);
-  queued_bytes_.fetch_add(total, std::memory_order_relaxed);
-  mark_dirty(conn_id);
-  wake();
-}
-
-void Reactor::pause_read(int conn_id, bool paused) {
-  Conn* c = conn_at(conn_id);
-  if (c == nullptr) return;
-  c->user_paused.store(paused, std::memory_order_relaxed);
   mark_dirty(conn_id);
   wake();
 }
 
 void Reactor::close_soon(int conn_id) {
-  post([this, conn_id] {
-    Conn* c = conn_at(conn_id);
-    if (c == nullptr || c->dead) return;
-    c->close_after_flush = true;
-    if (!flush_writable(*c)) {
-      mark_dead(*c, conn_id);
-      return;
-    }
-    bool empty;
-    {
-      MutexLock lock(&c->out_mu);
-      empty = c->out.empty();
-    }
-    if (empty) {
-      mark_dead(*c, conn_id);
-    } else {
-      update_interest(*c, conn_id);
-    }
-  });
-}
-
-std::uint64_t Reactor::conn_pending_out(int conn_id) const {
-  const Conn* c = conn_at(conn_id);
-  return c != nullptr ? c->out_bytes.load(std::memory_order_relaxed) : 0;
+  Conn* c = conn_at(conn_id);
+  if (c == nullptr) return;
+  // The dirty pass flushes the connection and closes it once drained.
+  c->close_after_flush.store(true, std::memory_order_relaxed);
+  mark_dirty(conn_id);
+  wake();
 }
 
 bool Reactor::read_paused(int conn_id) const {
   const Conn* c = conn_at(conn_id);
-  if (c == nullptr) return false;
-  return c->auto_paused.load(std::memory_order_relaxed) ||
-         c->user_paused.load(std::memory_order_relaxed);
+  return c != nullptr && c->auto_paused.load(std::memory_order_relaxed);
 }
 
 bool Reactor::wants_read(const Conn& c) const {
-  return !c.dead && !c.close_after_flush &&
-         !c.auto_paused.load(std::memory_order_relaxed) &&
-         !c.user_paused.load(std::memory_order_relaxed);
+  return !c.dead.load(std::memory_order_relaxed) &&
+         !c.close_after_flush.load(std::memory_order_relaxed) &&
+         !c.auto_paused.load(std::memory_order_relaxed);
 }
 
 bool Reactor::wants_write(Conn& c) {
-  if (c.dead) return false;
+  if (c.dead.load(std::memory_order_relaxed)) return false;
   MutexLock lock(&c.out_mu);
   return !c.out.empty();
 }
 
 void Reactor::update_interest(Conn& c, int conn_id) {
-  if (c.dead || c.fd < 0) return;
+  if (c.dead.load(std::memory_order_relaxed) || c.fd < 0) return;
   // Output watermark: a peer that stops draining its responses gets its
   // reads parked until the backlog halves — server memory stays bounded no
   // matter how fast the peer submits (the never-reading-client contract).
@@ -235,47 +192,36 @@ void Reactor::update_interest(Conn& c, int conn_id) {
       c.auto_paused.store(false, std::memory_order_relaxed);
     }
   }
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    std::uint32_t ev = 0;
-    if (wants_read(c)) ev |= EPOLLIN;
-    if (wants_write(c)) ev |= EPOLLOUT;
-    if (ev == c.armed_events) return;
-    epoll_event e{};
-    e.events = ev;
-    e.data.u64 = static_cast<std::uint64_t>(conn_id);
-    const int op = c.armed_events == 0 && !c.in_epoll_once
-                       ? EPOLL_CTL_ADD
-                       : EPOLL_CTL_MOD;
-    if (::epoll_ctl(epfd_, op, c.fd, &e) == 0) {
-      c.in_epoll_once = true;
-      c.armed_events = ev;
-    }
-    return;
+  std::uint32_t ev = 0;
+  if (wants_read(c)) ev |= EPOLLIN;
+  if (wants_write(c)) ev |= EPOLLOUT;
+  if (ev == c.armed_events) return;
+  epoll_event e{};
+  e.events = ev;
+  e.data.u64 = static_cast<std::uint64_t>(conn_id);
+  const int op =
+      c.armed_events == 0 && !c.in_epoll_once ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
+  if (::epoll_ctl(epfd_, op, c.fd, &e) == 0) {
+    c.in_epoll_once = true;
+    c.armed_events = ev;
   }
-#endif
-  // poll() backend recomputes interest from scratch every iteration.
-  (void)conn_id;
 }
 
 void Reactor::drain_control() {
   {
     MutexLock lock(&ctl_mu_);
-    task_scratch_.swap(tasks_);
     dirty_scratch_.swap(dirty_);
   }
-  for (auto& t : task_scratch_) t();
-  task_scratch_.clear();
   for (int id : dirty_scratch_) {
     Conn* c = conn_at(id);
-    if (c == nullptr || c->dead) continue;
+    if (c == nullptr || c->dead.load(std::memory_order_relaxed)) continue;
     // Opportunistic flush so a send queued between waits does not pay a
     // full wait-timeout of latency.
     if (!flush_writable(*c)) {
       mark_dead(*c, id);
       continue;
     }
-    if (c->close_after_flush) {
+    if (c->close_after_flush.load(std::memory_order_relaxed)) {
       bool empty;
       {
         MutexLock lock(&c->out_mu);
@@ -291,17 +237,6 @@ void Reactor::drain_control() {
   dirty_scratch_.clear();
 }
 
-void Reactor::loop() {
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    run_epoll();
-    return;
-  }
-#endif
-  run_poll();
-}
-
-#ifdef __linux__
 void Reactor::run_epoll() {
   {
     // Arm the wake pipe and listeners once.
@@ -348,17 +283,17 @@ void Reactor::run_epoll() {
       }
       const int id = static_cast<int>(key);
       Conn* c = conn_at(id);
-      if (c == nullptr || c->dead) continue;
+      if (c == nullptr || c->dead.load(std::memory_order_relaxed)) continue;
       const std::uint32_t ev = evs[i].events;
       if (ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) handle_readable(*c, id);
-      if (!c->dead && (ev & EPOLLOUT)) {
+      if (!c->dead.load(std::memory_order_relaxed) && (ev & EPOLLOUT)) {
         if (!flush_writable(*c)) {
           mark_dead(*c, id);
           continue;
         }
       }
-      if (!c->dead) {
-        if (c->close_after_flush) {
+      if (!c->dead.load(std::memory_order_relaxed)) {
+        if (c->close_after_flush.load(std::memory_order_relaxed)) {
           bool empty;
           {
             MutexLock lock(&c->out_mu);
@@ -374,82 +309,6 @@ void Reactor::run_epoll() {
     }
   }
 }
-#else
-void Reactor::run_epoll() { run_poll(); }
-#endif
-
-void Reactor::run_poll() {
-  std::vector<pollfd> fds;
-  std::vector<int> ids;  // fds index -> conn id (-1 = wake pipe/listener)
-  for (;;) {
-    {
-      MutexLock lock(&ctl_mu_);
-      if (stopping_) return;
-    }
-    drain_control();
-    fds.clear();
-    ids.clear();
-    fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    ids.push_back(-1);
-    for (std::size_t i = 0; i < listeners_.size(); ++i) {
-      fds.push_back(pollfd{listeners_[i], POLLIN, 0});
-      ids.push_back(-2 - static_cast<int>(i));
-    }
-    const std::size_t n = conn_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      Conn* c = conn_at(static_cast<int>(i));
-      short ev = 0;
-      if (c != nullptr && !c->dead) {
-        if (wants_read(*c)) ev |= POLLIN;
-        if (wants_write(*c)) ev |= POLLOUT;
-      }
-      fds.push_back(
-          pollfd{(c == nullptr || c->dead) ? -1 : c->fd, ev, 0});
-      ids.push_back(static_cast<int>(i));
-    }
-    const int rc = ::poll(fds.data(), fds.size(), 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      GDUR_ERROR("front: poll failed: %s", std::strerror(errno));
-      return;
-    }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    if (stats_ != nullptr) stats_->record(obs::Counter::kLoopWakeups);
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const short rev = fds[i].revents;
-      if (rev == 0) continue;
-      if (ids[i] == -1) {
-        char buf[64];
-        while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
-      if (ids[i] <= -2) {
-        handle_listener(listeners_[static_cast<std::size_t>(-2 - ids[i])]);
-        continue;
-      }
-      const int id = ids[i];
-      Conn* c = conn_at(id);
-      if (c == nullptr || c->dead) continue;
-      if (rev & (POLLIN | POLLERR | POLLHUP)) handle_readable(*c, id);
-      if (!c->dead && (rev & POLLOUT)) {
-        if (!flush_writable(*c)) {
-          mark_dead(*c, id);
-          continue;
-        }
-      }
-      if (!c->dead && c->close_after_flush) {
-        bool empty;
-        {
-          MutexLock lock(&c->out_mu);
-          empty = c->out.empty();
-        }
-        if (empty) mark_dead(*c, id);
-      }
-    }
-  }
-}
-
 void Reactor::handle_listener(int lfd) {
   for (;;) {
     const int fd = ::accept(lfd, nullptr, nullptr);
@@ -461,21 +320,13 @@ void Reactor::handle_listener(int lfd) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    if (cfg_.keepalive) {
-      ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof one);
-#ifdef TCP_KEEPIDLE
-      ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPIDLE, &cfg_.keepalive_idle_s,
-                   sizeof cfg_.keepalive_idle_s);
-#endif
-#ifdef TCP_KEEPINTVL
-      ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPINTVL, &cfg_.keepalive_interval_s,
-                   sizeof cfg_.keepalive_interval_s);
-#endif
-#ifdef TCP_KEEPCNT
-      ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPCNT, &cfg_.keepalive_count,
-                   sizeof cfg_.keepalive_count);
-#endif
-    }
+    ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof one);
+    ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPIDLE, &kKeepaliveIdleS,
+                 sizeof kKeepaliveIdleS);
+    ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPINTVL, &kKeepaliveIntervalS,
+                 sizeof kKeepaliveIntervalS);
+    ::setsockopt(fd, IPPROTO_TCP, TCP_KEEPCNT, &kKeepaliveCount,
+                 sizeof kKeepaliveCount);
     if (cfg_.sndbuf > 0)
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.sndbuf,
                    sizeof cfg_.sndbuf);
@@ -504,7 +355,7 @@ void Reactor::handle_readable(Conn& c, int conn_id) {
   // Extract complete frames.
   while (c.in.size() - c.in_off >= kHdr) {
     const std::uint32_t len = net::frame_length(c.in.data() + c.in_off);
-    if (len > cfg_.max_frame) {
+    if (len > net::kMaxFrame) {
       GDUR_ERROR("front: oversized frame (%u bytes), dropping conn", len);
       mark_dead(c, conn_id);
       return;
@@ -515,7 +366,7 @@ void Reactor::handle_readable(Conn& c, int conn_id) {
     c.in_off += kHdr + len;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     if (on_frame_) on_frame_(conn_id, std::move(frame));
-    if (c.dead) return;  // handler may close the connection
+    if (c.dead.load(std::memory_order_relaxed)) return;  // handler closed it
   }
   if (c.in_off > 0 && c.in_off == c.in.size()) {
     c.in.clear();
@@ -585,10 +436,12 @@ bool Reactor::flush_writable(Conn& c) {
 }
 
 void Reactor::mark_dead(Conn& c, int conn_id) {
-  if (c.dead) return;
-  c.dead = true;
   {
     MutexLock lock(&c.out_mu);
+    if (c.dead.load(std::memory_order_relaxed)) return;
+    // Under out_mu: send_frame checks the mark under the same lock, so no
+    // frame is queued after the clear below.
+    c.dead.store(true, std::memory_order_relaxed);
     std::uint64_t abandoned = 0;
     for (const auto& m : c.out) abandoned += kHdr + m.body.size() - m.off;
     flushed_bytes_.fetch_add(abandoned, std::memory_order_relaxed);

@@ -1,31 +1,33 @@
 // front::Reactor — the socket engine of the production front door.
 //
-// Replaces the PR 4 poll()-only EventLoop for both inter-site links and
-// client connections. One thread multiplexes every registered socket with
-// epoll (level-triggered) or, on hosts without epoll or when configured, a
-// portable poll() backend with identical semantics. Frames are
-// length-prefixed as net/frame.h defines (first body byte is the
-// codec::MsgType tag; the reactor is agnostic).
+// One thread multiplexes its registered sockets with level-triggered
+// epoll: the inter-site mesh has one Reactor, and every FrontServer has
+// one for its client connections. Frames are length-prefixed as
+// net/frame.h defines (first body byte is the codec::MsgType tag; the
+// reactor is agnostic).
 //
-// What it adds over the old loop:
 //   * Listening sockets with an accept state machine: new connections get
-//     non-blocking mode, TCP_NODELAY and configurable keepalive, then an
-//     accept handler runs on the reactor thread.
+//     non-blocking mode, TCP_NODELAY and keepalive, then an accept handler
+//     runs on the reactor thread.
 //   * Zero-copy framing: send_frame takes the body by value (move it in);
 //     the 4-byte header lives in the queue node and the body is never
 //     re-copied — flushes gather header + body iovecs into one writev().
-//   * Read-side backpressure: pause_read() parks a connection's read
-//     interest (session windows), and a per-connection pending-output
-//     watermark auto-pauses reads from peers that do not drain their
-//     responses — a never-reading client cannot grow server memory.
+//   * Read-side backpressure: a per-connection pending-output watermark
+//     auto-pauses reads from peers that do not drain their responses — a
+//     never-reading client cannot grow server memory.
 //   * Close handling: peers disappearing mid-run invoke a close handler on
-//     the reactor thread exactly once (the old loop only tolerated
-//     teardown); close_soon() flushes pending output then closes.
+//     the reactor thread exactly once; close_soon() flushes pending output
+//     then closes. Frames sent to a closed connection are dropped.
 //
 // TCP gives per-connection byte ordering and no duplication, and the
 // reactor extracts frames in arrival order — together that is the
 // exactly-once, FIFO-per-link delivery contract the protocol layer was
-// built against (unchanged from PR 4).
+// built against.
+//
+// Other threads reach the reactor thread through one control channel: a
+// list of dirty connection ids (new registration, queued output, close
+// request) drained before every wait. No caller queues a closure for the
+// reactor thread; it runs only the handlers set before start().
 //
 // Hot-path contract (gdur-lint front/dispatch-alloc): the event demux loop
 // — wait, interest re-arm, readiness fan-out — performs no allocation and
@@ -52,18 +54,6 @@ class StatsSlot;
 namespace gdur::front {
 
 struct ReactorConfig {
-  /// epoll backend (level-triggered). False = portable poll() fallback;
-  /// identical observable behavior, chosen at construction.
-  bool use_epoll = true;
-  /// Frames larger than this are a protocol error; the connection drops.
-  std::uint32_t max_frame = net::kMaxFrame;
-  /// TCP keepalive for accepted connections (a wedged client host must not
-  /// pin a session forever). Applied via SO_KEEPALIVE + TCP_KEEPIDLE/
-  /// INTVL/CNT where available.
-  bool keepalive = true;
-  int keepalive_idle_s = 30;
-  int keepalive_interval_s = 5;
-  int keepalive_count = 3;
   /// Per-connection pending-output watermark: above it the reactor stops
   /// reading that connection until output drains below half (bounds server
   /// memory under a never-reading peer). 0 = never auto-pause — inter-site
@@ -100,14 +90,16 @@ class Reactor {
   int add_connection(int fd);
 
   /// Registers a listening socket. Must be called before start(). Accepted
-  /// connections get keepalive/TCP_NODELAY per the config and are announced
-  /// through the accept handler.
+  /// connections get TCP_NODELAY, keepalive and the configured SO_SNDBUF,
+  /// and are announced through the accept handler.
   void add_listener(int fd);
 
   void set_frame_handler(FrameHandler h) { on_frame_ = std::move(h); }
   void set_accept_handler(AcceptHandler h) { on_accept_ = std::move(h); }
   void set_close_handler(CloseHandler h) { on_close_ = std::move(h); }
 
+  /// Starts the reactor thread. Throws std::runtime_error (with the errno
+  /// text) when the epoll instance cannot be created.
   void start();
   /// Idempotent. Closes every connection and joins the reactor thread.
   void stop();
@@ -115,20 +107,13 @@ class Reactor {
   /// Queues one frame (length prefix added here) for `conn_id`, taking the
   /// body by value — move it in and it is never copied again; the flush
   /// path gathers header + body with writev. Thread-safe; never blocks on
-  /// the socket. Frames to dead/unknown connections are dropped.
+  /// the socket. Frames to closed or unknown connections are dropped
+  /// uncounted, and a body longer than net::kMaxFrame is refused.
   void send_frame(int conn_id, std::vector<std::uint8_t> body);
 
-  /// Parks (or resumes) read interest on a connection — the session-window
-  /// backpressure hook. Thread-safe; takes effect on the next reactor wake.
-  void pause_read(int conn_id, bool paused);
-
-  /// Flushes pending output for `conn_id`, then closes it (close handler
-  /// runs). Thread-safe.
+  /// Flushes the output queued for `conn_id` before this call, then closes
+  /// it (the close handler runs once). Thread-safe.
   void close_soon(int conn_id);
-
-  /// Runs `fn` on the reactor thread before the next event wait.
-  /// Thread-safe; tasks posted after stop() are dropped.
-  void post(std::function<void()> fn);
 
   [[nodiscard]] std::uint64_t frames_received() const {
     return frames_in_.load(std::memory_order_relaxed);
@@ -150,8 +135,6 @@ class Reactor {
     const std::uint64_t f = flushed_bytes_.load(std::memory_order_relaxed);
     return q > f ? q - f : 0;
   }
-  /// Pending output of one connection (the per-connection watermark gauge).
-  [[nodiscard]] std::uint64_t conn_pending_out(int conn_id) const;
   /// True while the auto-pause watermark has this connection's reads parked
   /// (test hook for the bounded-memory contract).
   [[nodiscard]] bool read_paused(int conn_id) const;
@@ -159,8 +142,6 @@ class Reactor {
   /// Optional stats slot: the reactor thread records Counter::kLoopWakeups
   /// per wait return. Set before start(); not owned.
   void set_stats(obs::StatsSlot* s) { stats_ = s; }
-
-  [[nodiscard]] bool using_epoll() const { return epfd_ >= 0; }
 
  private:
   /// One queued outbound frame: the length prefix lives here, the body is
@@ -173,46 +154,43 @@ class Reactor {
   };
 
   struct Conn {
-    int fd = -1;
-    /// Reactor thread only.
-    bool dead = false;
-    bool close_after_flush = false;
-    bool in_epoll_once = false;        // registered with epoll at least once
-    std::uint32_t armed_events = 0;    // last epoll interest registered
-    std::vector<std::uint8_t> in;      // reactor thread only
-    std::size_t in_off = 0;            // parsed prefix of `in`
-    /// Any thread. auto_paused is written by the reactor thread only (the
-    /// output watermark tripped) and read by read_paused() too.
+    int fd = -1;  // reactor thread only
+    /// Set once, by the reactor thread under out_mu (mark_dead): a sender
+    /// that checks it under out_mu never queues behind the final clear.
+    /// The reactor thread reads it lock-free.
+    std::atomic<bool> dead{false};
+    /// Any thread sets it (close_soon); the reactor thread reads it.
+    std::atomic<bool> close_after_flush{false};
+    /// Written by the reactor thread only (the output watermark tripped)
+    /// and read by read_paused() too.
     std::atomic<bool> auto_paused{false};
-    std::atomic<bool> user_paused{false};
+    bool in_epoll_once = false;      // reactor thread: registered with epoll
+    std::uint32_t armed_events = 0;  // reactor thread: last epoll interest
+    std::vector<std::uint8_t> in;    // reactor thread only
+    std::size_t in_off = 0;          // parsed prefix of `in`
     std::atomic<std::uint64_t> out_bytes{0};
     Mutex out_mu;
     std::deque<OutMsg> out GUARDED_BY(out_mu);
   };
 
-  void loop();
   // Hot roots (gdur-hotpath-reachability, DESIGN.md §16): the epoll demux
   // loop and its re-arm helpers must stay allocation- and sleep-free.
-  // run_poll is exempt by documented contract — it rebuilds pollfd vectors
-  // per iteration and is the compatibility backend, not the fast path.
   GDUR_HOT_PATH("noalloc,nosleep") void run_epoll();
-  void run_poll();
   GDUR_HOT_PATH("noalloc,nosleep")
-  void drain_control();  // tasks + dirty-interest re-arm (reactor thread)
+  void drain_control();  // dirty-connection pass (reactor thread)
   // Boundaries: accept and read paths grow connection state by design
   // (session setup, amortized input-buffer growth, frame extraction).
   GDUR_HOT_BOUNDARY void handle_listener(int lfd);
   GDUR_HOT_BOUNDARY void handle_readable(Conn& c, int conn_id);
   /// Returns false on a fatal write error (caller should mark_dead).
   bool flush_writable(Conn& c) EXCLUDES(c.out_mu);
-  void mark_dead(Conn& c, int conn_id);
+  void mark_dead(Conn& c, int conn_id) EXCLUDES(c.out_mu);
   GDUR_HOT_PATH("noalloc,nosleep") void update_interest(Conn& c, int conn_id);
   [[nodiscard]] bool wants_read(const Conn& c) const;
   [[nodiscard]] bool wants_write(Conn& c) EXCLUDES(c.out_mu);
   void mark_dirty(int conn_id);
   void wake();
   [[nodiscard]] Conn* conn_at(int conn_id) const;
-  [[nodiscard]] std::size_t conn_count() const;
 
   ReactorConfig cfg_;
   FrameHandler on_frame_;
@@ -227,12 +205,13 @@ class Reactor {
 
   std::vector<int> listeners_;  // set before start()
 
+  /// The control channel: connections needing registration, a flush, an
+  /// interest re-arm or a close, drained before every wait.
   Mutex ctl_mu_;
-  std::vector<std::function<void()>> tasks_ GUARDED_BY(ctl_mu_);
-  std::vector<int> dirty_ GUARDED_BY(ctl_mu_);  // conns needing re-arm
+  std::vector<int> dirty_ GUARDED_BY(ctl_mu_);
   bool stopping_ GUARDED_BY(ctl_mu_) = false;
 
-  int epfd_ = -1;  // -1 = poll() backend
+  int epfd_ = -1;  // open while running
   /// Lives as long as the Reactor, so a wake() racing stop() writes to the
   /// pipe, not to a closed (or reused) descriptor. Written only by the
   /// constructor; {-1, -1} if pipe() failed.
@@ -247,7 +226,6 @@ class Reactor {
   std::thread thread_;
 
   // Preallocated scratch for the demux loop (no allocation there).
-  std::vector<std::function<void()>> task_scratch_;
   std::vector<int> dirty_scratch_;
 };
 

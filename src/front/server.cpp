@@ -18,13 +18,10 @@ namespace gdur::front {
 namespace codec = net::codec;
 
 FrontServer::FrontServer(live::LiveCluster& cl, FrontConfig cfg)
-    : cl_(cl), cfg_(std::move(cfg)), reactor_([&] {
-        ReactorConfig rc;
-        rc.use_epoll = cfg_.use_epoll;
-        rc.pause_read_at = cfg_.pause_read_at;
-        rc.sndbuf = cfg_.sndbuf;
-        return rc;
-      }()) {
+    : cl_(cl),
+      cfg_(std::move(cfg)),
+      reactor_(ReactorConfig{.pause_read_at = cfg_.pause_read_at,
+                             .sndbuf = cfg_.sndbuf}) {
   if (!cl_.hosted(cfg_.site))
     throw std::runtime_error("front: site not hosted by this process");
 }
@@ -102,6 +99,13 @@ void FrontServer::on_close(int conn) {
   // Presumed abort: open transactions were never submitted, so dropping
   // their records terminates them with no protocol traffic. In-flight
   // request contexts find the session gone and recycle themselves.
+  if (auto* tr = cl_.trace()) {
+    const SimTime now = cl_.now();
+    // gdur-analyze: allow(gdur-determinism-escape) one report per transaction, stamped with the wall clock; the live trace has no golden order
+    for (const auto& [seq, t] : it->second.open)
+      tr->txn_finished(t->id, cfg_.site, now, false, t->read_only(),
+                       obs::AbortReason::kPresumedAbort);
+  }
   open_txns_.fetch_sub(it->second.open.size(), std::memory_order_relaxed);
   sessions_.erase(it);
   sessions_live_.fetch_sub(1, std::memory_order_relaxed);
@@ -184,6 +188,8 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
           respond(ctx, false, 0, 0);
           return;
         }
+        if (auto* tr = cl_.trace())
+          tr->txn_started(t->id, cfg_.site, ctx->t0, cl_.now());
         sess->open.emplace(t->id.seq, t);
         open_txns_.fetch_add(1, std::memory_order_relaxed);
         respond(ctx, true, t->id.seq, 0);
@@ -196,8 +202,11 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
         return;
       }
       cl_.read(cfg_.site, it->second, m.obj,
-               [this, ctx, txn = m.txn](bool ok) {
-                 respond(ctx, ok, txn, net::wire::kPayload);
+               [this, ctx, id = it->second->id](bool ok) {
+                 if (auto* tr = cl_.trace())
+                   tr->txn_op(id, obs::Phase::kRead, cfg_.site, ctx->t0,
+                              cl_.now());
+                 respond(ctx, ok, id.seq, net::wire::kPayload);
                });
       return;
     }
@@ -207,8 +216,12 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
         respond(ctx, false, m.txn, 0);
         return;
       }
-      cl_.write(cfg_.site, it->second, m.obj,
-                [this, ctx, txn = m.txn] { respond(ctx, true, txn, 0); });
+      cl_.write(cfg_.site, it->second, m.obj, [this, ctx, id = it->second->id] {
+        if (auto* tr = cl_.trace())
+          tr->txn_op(id, obs::Phase::kWriteBuffer, cfg_.site, ctx->t0,
+                     cl_.now());
+        respond(ctx, true, id.seq, 0);
+      });
       return;
     }
     case codec::ClientOp::kCommit: {
@@ -223,7 +236,7 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
       s.open.erase(it);
       open_txns_.fetch_sub(1, std::memory_order_relaxed);
       cl_.commit(cfg_.site, ctx->txn, [this, ctx](bool ok) {
-        finish_txn(session_of(ctx->conn), ctx, ok);
+        finish_txn(session_of(ctx->conn), ctx, ok, /*exec_failure=*/false);
       });
       return;
     }
@@ -231,6 +244,8 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
       ctx->reads = m.reads;
       ctx->writes = m.writes;
       cl_.begin(cfg_.site, [this, ctx](core::MutTxnPtr t) {
+        if (auto* tr = cl_.trace())
+          tr->txn_started(t->id, cfg_.site, ctx->t0, cl_.now());
         ctx->txn = std::move(t);
         step_stored(ctx);
       });
@@ -245,9 +260,13 @@ void FrontServer::step_stored(RequestCtx* ctx) {
   // commit — the whole chain stays on the site thread.
   if (ctx->next < ctx->reads.size()) {
     const ObjectId x = ctx->reads[ctx->next++];
+    ctx->op_start = cl_.now();
     cl_.read(cfg_.site, ctx->txn, x, [this, ctx](bool ok) {
+      if (auto* tr = cl_.trace())
+        tr->txn_op(ctx->txn->id, obs::Phase::kRead, cfg_.site, ctx->op_start,
+                   cl_.now());
       if (!ok) {
-        finish_txn(session_of(ctx->conn), ctx, false);
+        finish_txn(session_of(ctx->conn), ctx, false, /*exec_failure=*/true);
         return;
       }
       step_stored(ctx);
@@ -258,17 +277,31 @@ void FrontServer::step_stored(RequestCtx* ctx) {
   if (widx < ctx->writes.size()) {
     const ObjectId x = ctx->writes[widx];
     ++ctx->next;
-    cl_.write(cfg_.site, ctx->txn, x, [this, ctx] { step_stored(ctx); });
+    ctx->op_start = cl_.now();
+    cl_.write(cfg_.site, ctx->txn, x, [this, ctx] {
+      if (auto* tr = cl_.trace())
+        tr->txn_op(ctx->txn->id, obs::Phase::kWriteBuffer, cfg_.site,
+                   ctx->op_start, cl_.now());
+      step_stored(ctx);
+    });
     return;
   }
   cl_.commit(cfg_.site, ctx->txn, [this, ctx](bool ok) {
-    finish_txn(session_of(ctx->conn), ctx, ok);
+    finish_txn(session_of(ctx->conn), ctx, ok, /*exec_failure=*/false);
   });
 }
 
-void FrontServer::finish_txn(Session* s, RequestCtx* ctx, bool ok) {
-  const SimTime dt = cl_.now() - ctx->t0;
-  if (observer_ && ctx->txn) observer_(*ctx->txn, ok, dt);
+void FrontServer::finish_txn(Session* s, RequestCtx* ctx, bool ok,
+                             bool exec_failure) {
+  const SimTime now = cl_.now();
+  if (observer_ && ctx->txn) observer_(*ctx->txn, ok, now - ctx->t0);
+  if (auto* tr = cl_.trace(); tr != nullptr && ctx->txn) {
+    const TxnId& id = ctx->txn->id;
+    tr->txn_finished(
+        id, cfg_.site, now, ok, ctx->writes.empty() && ctx->txn->read_only(),
+        ok ? obs::AbortReason::kNone
+           : cl_.replica(cfg_.site).abort_reason(id, exec_failure));
+  }
   if (s == nullptr || s->closing) {
     // Client gone; the outcome is already durable cluster-side, only the
     // response is undeliverable.

@@ -23,6 +23,11 @@
 //
 // Per-request metadata comes from a free-list pool (front/pool.h):
 // the steady-state request path allocates no metadata nodes.
+//
+// With a TraceRecorder attached to the cluster, the server is the client
+// of record: it reports each transaction's begin, reads, writes and end
+// (a session closing with transactions open reports each as a presumed
+// abort), so front-door transactions reach the phase sink.
 #pragma once
 
 #include <atomic>
@@ -57,7 +62,6 @@ struct FrontConfig {
   /// SO_SNDBUF for client connections (0 = kernel default); see
   /// ReactorConfig::sndbuf.
   int sndbuf = 0;
-  bool use_epoll = true;
 };
 
 class FrontServer {
@@ -124,6 +128,7 @@ class FrontServer {
     std::uint64_t cookie = 0;
     net::codec::ClientOp op = net::codec::ClientOp::kBegin;
     SimTime t0 = 0;  // receipt time (latency measurement)
+    SimTime op_start = 0;  // kStored: the running read or write began here
     /// kStored only: remaining work, consumed left to right.
     std::vector<ObjectId> reads;
     std::vector<ObjectId> writes;
@@ -148,8 +153,10 @@ class FrontServer {
   void respond(RequestCtx* ctx, bool ok, std::uint64_t txn,
                std::uint64_t payload);
   GDUR_CONFINED("site-thread") void send_to(int conn, net::codec::Writer& w);
+  /// Terminates ctx's transaction; `exec_failure` = a read failed before
+  /// commit (classified as in workload::TxnFlow, via Replica::abort_reason).
   GDUR_CONFINED("site-thread")
-  void finish_txn(Session* s, RequestCtx* ctx, bool ok);
+  void finish_txn(Session* s, RequestCtx* ctx, bool ok, bool exec_failure);
   GDUR_CONFINED("site-thread") void check_pushback();
   GDUR_CONFINED("site-thread") void send_pushback(Session& s, bool stop);
   [[nodiscard]] GDUR_CONFINED("site-thread") Session* session_of(int conn);

@@ -449,14 +449,14 @@ void LiveCluster::flush_batch(SiteId from, SiteId to) {
   if (q.empty()) return;
   if (q.size() == 1) {
     // A lone message gains nothing from the container; ship it bare.
-    transport_live_->send(from, to, q.front());
+    transport_live_->send(from, to, std::move(q.front()));
   } else {
     codec::Writer w;
     w.u8(static_cast<std::uint8_t>(codec::MsgType::kBatch));
     codec::encode(w, q);
     batches_sent_.fetch_add(1, std::memory_order_relaxed);
     batched_msgs_.fetch_add(q.size(), std::memory_order_relaxed);
-    transport_live_->send(from, to, w.data());
+    transport_live_->send(from, to, w.take());
   }
   q.clear();
   b.bytes[to] = 0;
@@ -485,13 +485,13 @@ void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
     return;
   }
   if (!coalesce_) {
-    transport_live_->send(from, to, w.data());
+    transport_live_->send(from, to, w.take());
     return;
   }
   auto& b = batchers_[from];
-  if (w.size() <= kSmallFrame) {
-    b.per_dst[to].push_back(w.data());
-    b.bytes[to] += w.size();
+  if (const std::size_t size = w.size(); size <= kSmallFrame) {
+    b.per_dst[to].push_back(w.take());
+    b.bytes[to] += size;
     if (b.per_dst[to].size() >= kBatchMaxMsgs || b.bytes[to] >= kBatchMaxBytes)
       flush_batch(from, to);
     return;
@@ -499,7 +499,7 @@ void LiveCluster::ship(SiteId from, SiteId to, net::Msg m) {
   // FIFO contract: anything coalesced toward `to` was logically sent before
   // this frame, so it must hit the socket first.
   flush_batch(from, to);
-  transport_live_->send(from, to, w.data());
+  transport_live_->send(from, to, w.take());
 }
 
 // --- inbound (always on dst's mailbox thread) --------------------------------

@@ -23,6 +23,9 @@ namespace {
 
 using std::chrono::steady_clock;
 
+/// Grace period for in-flight transactions after the measurement window.
+constexpr auto kDrainGrace = std::chrono::seconds(2);
+
 /// Everything one site's clients share; touched only on that site's
 /// mailbox thread once the run is going.
 struct SiteCollector {
@@ -124,8 +127,7 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
         });
 
   cluster.start();
-  PlaneAttendant attendant(cluster, cfg.snapshot_prefix,
-                           cfg.snapshot_every_secs);
+  PlaneAttendant attendant(cluster, cfg.snapshot_prefix);
 
   LiveRunResult res;
   std::vector<std::unique_ptr<workload::ClientActor>> clients;
@@ -184,9 +186,7 @@ LiveRunResult run_live(const LiveRunConfig& cfg) {
     for (const auto& c : clients) n += c->idle() ? 0 : 1;
     return n;
   };
-  const auto deadline =
-      steady_clock::now() + std::chrono::duration_cast<steady_clock::duration>(
-                                std::chrono::duration<double>(cfg.drain_secs));
+  const auto deadline = steady_clock::now() + kDrainGrace;
   while (hung() > 0 && steady_clock::now() < deadline) {
     // gdur-lint: allow(live/blocking-call) drain poll on the harness thread, not the event loop
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

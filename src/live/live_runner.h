@@ -58,14 +58,12 @@ struct LiveRunConfig {
   double delay_scale = 0.0;
   /// Verify the recorded history against the protocol's criterion.
   bool check = true;
-  /// Grace period for in-flight transactions after the measurement window.
-  double drain_secs = 2.0;
   obs::TraceRecorder* trace = nullptr;
   /// Production observability plane (telemetry, flight recorder, watchdog,
   /// invariant monitor); nullptr = the cluster's own. Not owned. The run's
-  /// PlaneAttendant (below) scans its watchdog and writes the snapshots.
+  /// PlaneAttendant (below) scans its watchdog and writes the snapshots,
+  /// one a second.
   obs::ObsPlane* plane = nullptr;
-  double snapshot_every_secs = 1.0;
   std::string snapshot_prefix;
 };
 
@@ -94,7 +92,7 @@ struct LiveRunResult {
   /// still drained and checked normally).
   bool interrupted = false;
   /// Closed-loop clients, or open-loop transactions, still in flight when
-  /// the drain grace period expired (0 on a healthy run below the knee).
+  /// the 2 s drain grace period expired (0 on a healthy run below the knee).
   int hung_clients = 0;
   /// Observability-plane verdicts, read from the run's plane (all three
   /// are 0 on a healthy run).

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "net/codec.h"
 #include "net/frame.h"
@@ -193,7 +194,7 @@ LiveTransport::LiveTransport(int sites, SiteId self,
 }
 
 void LiveTransport::send(SiteId src, SiteId dst,
-                         const std::vector<std::uint8_t>& body) {
+                         std::vector<std::uint8_t> body) {
   const int conn =
       out_conn_[static_cast<std::size_t>(link_index(src, dst))];
   if (conn < 0) return;  // not our link (external mesh: src must be self)
@@ -201,7 +202,7 @@ void LiveTransport::send(SiteId src, SiteId dst,
   slot.record(obs::Counter::kMsgsSent);
   slot.record(obs::Counter::kBytesSent, body.size() + net::kFrameHeader);
   slot.record_value(obs::Hist::kMsgBytes, body.size() + net::kFrameHeader);
-  reactor_.send_frame(conn, body);
+  reactor_.send_frame(conn, std::move(body));
 }
 
 }  // namespace gdur::live

@@ -12,10 +12,10 @@
 // configured endpoint and dials its peers, which may boot in any order).
 // Only the hosted sites' outbound links exist in a process.
 //
-// Byte-moving runs on front::Reactor (epoll, poll() fallback) — the same
-// engine the client front door uses. Emulated link delays are not the
-// transport's business: LiveCluster holds a delayed frame on the
-// destination site's mailbox (live/mailbox.h).
+// Byte-moving runs on a front::Reactor — the same epoll engine each client
+// front door runs. Emulated link delays are not the transport's business:
+// LiveCluster holds a delayed frame on the destination site's mailbox
+// (live/mailbox.h).
 #pragma once
 
 #include <cstdint>
@@ -63,10 +63,11 @@ class LiveTransport {
   void stop() { reactor_.stop(); }
 
   /// Queues `body` (type tag + encoded message) on the (src, dst) link and
-  /// counts it, length prefix included, in `src`'s plane slot.
-  /// Thread-safe; src != dst (self-sends bypass the transport), and src
-  /// must be a site this process hosts.
-  void send(SiteId src, SiteId dst, const std::vector<std::uint8_t>& body);
+  /// counts it, length prefix included, in `src`'s plane slot. Takes the
+  /// body by value, as Reactor::send_frame does: move it in and it is
+  /// never copied. Thread-safe; src != dst (self-sends bypass the
+  /// transport), and src must be a site this process hosts.
+  void send(SiteId src, SiteId dst, std::vector<std::uint8_t> body);
 
   /// The byte-moving reactor, exposed so the observability plane can attach
   /// its stats slot and stall-watchdog probes.

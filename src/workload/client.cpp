@@ -105,18 +105,9 @@ class TxnFlow : public std::enable_shared_from_this<TxnFlow> {
     finished_ = true;
     const SimTime now = cl_.now();
     const bool read_only = profile_->read_only;
-    // Classify the abort: execution-phase failures are snapshot misses;
-    // termination aborts carry a reason in the coordinator's decided cache
-    // (kCertConflict if the cache entry already aged out).
     obs::AbortReason reason = obs::AbortReason::kNone;
     if (!committed) {
-      if (exec_failure) {
-        reason = obs::AbortReason::kSnapshotFailure;
-      } else {
-        reason = cl_.replica(site_).outcome_reason(t.id);
-        if (reason == obs::AbortReason::kNone)
-          reason = obs::AbortReason::kCertConflict;
-      }
+      reason = cl_.replica(site_).abort_reason(t.id, exec_failure);
       ++metrics_.aborts_by_reason[static_cast<std::size_t>(reason)];
     }
     if (exec_failure) {

@@ -1,7 +1,8 @@
-// Tests for the production front door (src/front/): reactor framing over
-// both backends, arena/pool recycling, shutdown signal plumbing, client
-// sessions end to end against live clusters, presumed abort + session GC on
-// disconnect, and both backpressure layers — admission pushback and the
+// Tests for the production front door (src/front/): reactor framing,
+// flush-then-close and closed-connection drops, pool recycling, shutdown
+// signal plumbing, client sessions end to end against live clusters
+// (phase reports included), presumed abort + session GC on disconnect,
+// and both backpressure layers — admission pushback and the
 // never-reading-client memory bound.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "front/signals.h"
 #include "live/live_cluster.h"
 #include "net/codec.h"
+#include "obs/trace.h"
 #include "protocols/protocols.h"
 
 namespace gdur::front {
@@ -124,20 +128,14 @@ bool wait_until(Pred p, std::chrono::milliseconds limit = 5000ms) {
 
 // --- reactor ---------------------------------------------------------------
 
-class ReactorBackends : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ReactorBackends, EchoesFramesAndCountsAccepts) {
-  ReactorConfig rc;
-  rc.use_epoll = GetParam();
-  Reactor r(rc);
+TEST(Reactor, EchoesFramesAndCountsAccepts) {
+  Reactor r;
   std::uint16_t port = 0;
   r.add_listener(make_listener(&port));
   r.set_frame_handler([&r](int conn, std::vector<std::uint8_t> frame) {
     r.send_frame(conn, std::move(frame));  // echo
   });
   r.start();
-  if (GetParam()) EXPECT_TRUE(r.using_epoll());
-  else EXPECT_FALSE(r.using_epoll());
 
   const int fd = dial(port);
   ASSERT_GE(fd, 0);
@@ -152,9 +150,6 @@ TEST_P(ReactorBackends, EchoesFramesAndCountsAccepts) {
   EXPECT_EQ(r.frames_received(), 100u);
   r.stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(EpollAndPoll, ReactorBackends,
-                         ::testing::Values(true, false));
 
 TEST(Reactor, CloseHandlerFiresExactlyOnceOnPeerClose) {
   Reactor r;
@@ -174,9 +169,7 @@ TEST(Reactor, CloseHandlerFiresExactlyOnceOnPeerClose) {
 }
 
 TEST(Reactor, OversizedFrameDropsConnection) {
-  ReactorConfig rc;
-  rc.max_frame = 64;
-  Reactor r(rc);
+  Reactor r;
   std::uint16_t port = 0;
   r.add_listener(make_listener(&port));
   std::atomic<int> closes{0};
@@ -184,10 +177,70 @@ TEST(Reactor, OversizedFrameDropsConnection) {
   r.start();
   const int fd = dial(port);
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(send_raw_frame(fd, std::vector<std::uint8_t>(100, 7)));
+  // The header alone condemns the frame: no body byte follows it.
+  const net::FrameHeader hdr = net::frame_header(net::kMaxFrame + 1);
+  ASSERT_TRUE(write_all(fd, hdr.data(), hdr.size()));
   EXPECT_TRUE(wait_until([&closes] { return closes.load() == 1; }));
   EXPECT_EQ(r.frames_received(), 0u);
   ::close(fd);
+  r.stop();
+}
+
+TEST(Reactor, CloseSoonFlushesQueuedFramesThenClosesOnce) {
+  Reactor r;
+  std::uint16_t port = 0;
+  r.add_listener(make_listener(&port));
+  std::atomic<int> conn{-1};
+  std::atomic<int> closes{0};
+  r.set_accept_handler([&conn](int c) { conn.store(c); });
+  r.set_close_handler([&closes](int) { closes.fetch_add(1); });
+  r.start();
+  const int fd = dial(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&conn] { return conn.load() >= 0; }));
+
+  // Queue 1 MiB while the peer reads nothing, then ask for the close at
+  // once: every frame must reach the peer before the EOF.
+  constexpr int kFrames = 64;
+  for (int i = 0; i < kFrames; ++i)
+    r.send_frame(conn.load(), std::vector<std::uint8_t>(
+                                  16 * 1024, static_cast<std::uint8_t>(i)));
+  r.close_soon(conn.load());
+  for (int i = 0; i < kFrames; ++i) {
+    const auto f = read_raw_frame(fd);
+    ASSERT_EQ(f.size(), 16u * 1024) << "frame " << i;
+    EXPECT_EQ(f.front(), static_cast<std::uint8_t>(i));
+  }
+  EXPECT_TRUE(read_raw_frame(fd).empty());  // EOF after the last frame
+  EXPECT_TRUE(wait_until([&closes] { return closes.load() == 1; }));
+  r.close_soon(conn.load());  // closing a closed connection is a no-op
+  std::this_thread::sleep_for(50ms);  // would catch a double-fire
+  EXPECT_EQ(closes.load(), 1);
+  EXPECT_EQ(r.pending_out_bytes(), 0u);
+  ::close(fd);
+  r.stop();
+}
+
+TEST(Reactor, FramesToAClosedConnectionAreDropped) {
+  Reactor r;
+  std::uint16_t port = 0;
+  r.add_listener(make_listener(&port));
+  std::atomic<int> conn{-1};
+  std::atomic<int> closes{0};
+  r.set_accept_handler([&conn](int c) { conn.store(c); });
+  r.set_close_handler([&closes](int) { closes.fetch_add(1); });
+  r.start();
+  const int fd = dial(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(wait_until([&conn] { return conn.load() >= 0; }));
+  ::close(fd);
+  ASSERT_TRUE(wait_until([&closes] { return closes.load() == 1; }));
+
+  for (int i = 0; i < 100; ++i)
+    r.send_frame(conn.load(), std::vector<std::uint8_t>(1000, 7));
+  std::this_thread::sleep_for(50ms);  // a queued frame would still count
+  EXPECT_EQ(r.pending_out_bytes(), 0u);
+  EXPECT_EQ(closes.load(), 1);
   r.stop();
 }
 
@@ -283,6 +336,71 @@ TEST(FrontEndToEnd, InteractiveAndStoredAcrossProtocols) {
         [&lf] { return lf.server->sessions_live() == 0; }))
         << protocol;
   }
+}
+
+TEST(FrontEndToEnd, TransactionsReachThePhaseSink) {
+  obs::TraceRecorder trace(obs::TraceConfig{.spans = false});
+  std::mutex mu;
+  std::vector<obs::TxnPhaseReport> reports;
+  trace.set_phase_sink([&mu, &reports](const obs::TxnPhaseReport& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    reports.push_back(r);
+  });
+  const auto report_count = [&mu, &reports] {
+    std::lock_guard<std::mutex> lock(mu);
+    return reports.size();
+  };
+  live::LiveConfig lc;
+  lc.base.sites = 3;
+  lc.base.objects_per_site = 256;
+  lc.base.partitions_per_site = 1;
+  lc.base.trace = &trace;
+  live::LiveCluster cluster(lc, protocols::by_name("P-Store"));
+  cluster.start();
+  FrontServer server(cluster, FrontConfig{});
+  server.start();
+
+  ClientConfig cc;
+  cc.port = server.port();
+  GdurClient c(cc);
+  ASSERT_TRUE(c.connect());
+  // Objects i, i+1 and i+2 live on the three sites, so every update's
+  // termination crosses the mesh.
+  constexpr int kEach = 10;
+  for (int i = 0; i < kEach; ++i) {
+    const auto o = static_cast<ObjectId>(3 * i);
+    EXPECT_TRUE(c.stored_sync({o}, {o, o + 1, o + 2}));
+    const auto h = c.begin_sync();
+    ASSERT_TRUE(h.has_value());
+    EXPECT_TRUE(c.read_sync(*h, o + 1));
+    EXPECT_TRUE(c.write_sync(*h, o));
+    EXPECT_TRUE(c.write_sync(*h, o + 2));
+    EXPECT_TRUE(c.commit_sync(*h));
+  }
+  EXPECT_TRUE(wait_until([&] { return report_count() == 2 * kEach; }));
+  // Left open by a session that closes: a presumed abort.
+  const auto open = c.begin_sync();
+  ASSERT_TRUE(open.has_value());
+  c.close();
+  EXPECT_TRUE(wait_until([&] { return report_count() == 2 * kEach + 1; }));
+  server.stop();
+  cluster.stop();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(reports.size(), 2u * kEach + 1);
+  std::set<TxnId> ids;
+  for (const auto& r : reports) ids.insert(r.id);
+  EXPECT_EQ(ids.size(), reports.size());  // one report per transaction
+  for (std::size_t i = 0; i + 1 < reports.size(); ++i) {
+    const auto& r = reports[i];
+    EXPECT_TRUE(r.committed) << r.id.str();
+    EXPECT_FALSE(r.read_only) << r.id.str();
+    EXPECT_GT(r.of(obs::Phase::kXcast), 0) << r.id.str();
+  }
+  const auto& last = reports.back();
+  EXPECT_FALSE(last.committed);
+  EXPECT_EQ(last.reason, obs::AbortReason::kPresumedAbort);
+  EXPECT_EQ(last.id.seq, *open);
 }
 
 TEST(FrontEndToEnd, CommitOfUnknownHandleFailsCleanly) {

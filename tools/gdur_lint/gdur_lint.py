@@ -35,9 +35,7 @@ Rules
                            wait / interest re-arm / readiness fan-out path
                            is allocation-free by contract (reactor.h);
                            buffer growth belongs to the per-connection
-                           read/write handlers. The poll() fallback
-                           (run_poll) is exempt: it rebuilds its interest
-                           vectors each iteration with retained capacity.
+                           read/write handlers.
   protocol/spec-complete   a factory that builds a fresh core::ProtocolSpec
                            must assign every realization point (name, theta,
                            choose, ac, xcast, certifying, vote_snd,
@@ -192,8 +190,8 @@ HOT_PATH_PATTERNS = [
 
 # Reactor demux functions (front/dispatch-alloc): the wait / interest
 # re-arm / readiness fan-out path is allocation-free by contract
-# (front/reactor.h). run_poll is deliberately absent — the portable fallback
-# rebuilds its pollfd/interest vectors each iteration (capacity retained).
+# (front/reactor.h). The accept and read handlers are absent: they own
+# connection-state and input-buffer growth.
 DISPATCH_FN_RE = re.compile(r"^(?:run_epoll|drain_control|update_interest)$")
 
 DISPATCH_ALLOC_PATTERNS = [
