@@ -39,9 +39,9 @@ struct Hop {
   void operator()() const { sim->after(gap, Hop{sim, gap}); }
 };
 
-// The sim-fig3 shape: ~50k far-future timers (termination GC) stay pending
-// under a stream of near-term events, so every push and pop walks a deep
-// heap. 64 hops in flight, one event per simulated nanosecond.
+// A deep queue: 50k far-future timers stay pending under a stream of
+// near-term events, so every push and pop walks a deep heap. 64 hops in
+// flight, one event per simulated nanosecond.
 void BM_SimulatorEventThroughputDeepQueue(benchmark::State& state) {
   sim::Simulator sim;
   for (int i = 0; i < 50'000; ++i) sim.at(seconds(3600) + i, [] {});

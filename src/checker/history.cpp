@@ -15,7 +15,20 @@ void History::attach(core::Cluster& cluster) {
 void History::record_txn(const core::TxnRecord& t, bool committed,
                          SimTime response) {
   built_ = false;
-  txns_.push_back(TxnOutcome{t, committed, response});
+  // Offsets are 32-bit: a history holds far fewer than 2^32 reads.
+  txns_.push_back(TxnSummary{
+      .id = t.id,
+      .begin_time = t.begin_time,
+      .submit_time = t.submit_time,
+      .response_time = response,
+      .reads_at = static_cast<std::uint32_t>(reads_.size()),
+      .n_reads = static_cast<std::uint32_t>(t.reads.size()),
+      .writes_at = static_cast<std::uint32_t>(writes_.size()),
+      .n_writes = static_cast<std::uint32_t>(t.ws.size()),
+      .epoch = t.epoch,
+      .committed = committed});
+  for (const auto& r : t.reads) reads_.push_back(ReadPair{r.obj, r.writer});
+  writes_.insert(writes_.end(), t.ws.begin(), t.ws.end());
 }
 
 void History::record_install(const core::Cluster::InstallEvent& e) {
@@ -37,7 +50,7 @@ void History::build_orders() const {
   committed_index_.clear();
   authority_.clear();
   for (std::size_t i = 0; i < txns_.size(); ++i)
-    if (txns_[i].committed) committed_index_[txns_[i].txn.id] = i;
+    if (txns_[i].committed) committed_index_[txns_[i].id] = i;
   // Installs are recorded in simulated-time order (single-threaded event
   // loop); one site's install stream per partition is the version order.
   // That site is the replica with the longest stream — with a fixed
@@ -97,7 +110,7 @@ CheckResult History::check_read_committed() const {
   build_orders();
   for (const auto& out : txns_) {
     if (!out.committed) continue;
-    for (const auto& r : out.txn.reads) {
+    for (const auto& r : reads_of(out)) {
       if (!r.writer.valid()) continue;  // initial version
       if (committed_index_.contains(r.writer)) continue;
       // A version may be installed (hence committed) even if its
@@ -106,7 +119,7 @@ CheckResult History::check_read_committed() const {
       if (it != orders_.end() &&
           version_index(it->second.writers, r.writer) >= 0)
         continue;
-      return {false, out.txn.id.str() + " read uncommitted version of object " +
+      return {false, out.id.str() + " read uncommitted version of object " +
                          std::to_string(r.obj) + " written by " +
                          r.writer.str()};
     }
@@ -118,12 +131,12 @@ CheckResult History::acyclic_dsg(bool updates_only) const {
   build_orders();
   // Node ids: indices into txns_ of committed transactions in scope.
   std::unordered_map<TxnId, int> node;
-  std::vector<const core::TxnRecord*> records;
+  std::vector<const TxnSummary*> records;
   for (const auto& out : txns_) {
     if (!out.committed) continue;
-    if (updates_only && out.txn.read_only()) continue;
-    node[out.txn.id] = static_cast<int>(records.size());
-    records.push_back(&out.txn);
+    if (updates_only && out.read_only()) continue;
+    node[out.id] = static_cast<int>(records.size());
+    records.push_back(&out);
   }
   std::vector<std::vector<int>> adj(records.size());
   const auto add_edge = [&](const TxnId& a, const TxnId& b) {
@@ -149,8 +162,8 @@ CheckResult History::acyclic_dsg(bool updates_only) const {
       add_edge(order.writers[i - 1], order.writers[i]);
   }
   // wr and rw edges.
-  for (const core::TxnRecord* t : records) {
-    for (const auto& r : t->reads) {
+  for (const TxnSummary* t : records) {
+    for (const auto& r : reads_of(*t)) {
       if (r.writer.valid()) add_edge(r.writer, t->id);  // wr
       const auto it = orders_.find(r.obj);
       if (it == orders_.end()) continue;
@@ -215,10 +228,9 @@ CheckResult History::check_ww_exclusion() const {
   // Concurrency is under-approximated so that every reported violation is
   // real: two transactions are *definitely* concurrent iff each began
   // before the other was even submitted (submission precedes commitment).
-  const auto definitely_concurrent = [](const TxnOutcome& a,
-                                        const TxnOutcome& b) {
-    return a.txn.begin_time < b.txn.submit_time &&
-           b.txn.begin_time < a.txn.submit_time;
+  const auto definitely_concurrent = [](const TxnSummary& a,
+                                        const TxnSummary& b) {
+    return a.begin_time < b.submit_time && b.begin_time < a.submit_time;
   };
 
   // wr (reads-from) adjacency for the snapshot-dependency exception: under
@@ -227,8 +239,8 @@ CheckResult History::check_ww_exclusion() const {
   std::unordered_map<TxnId, std::vector<TxnId>> wr;
   for (const auto& out : txns_) {
     if (!out.committed) continue;
-    for (const auto& r : out.txn.reads)
-      if (r.writer.valid()) wr[r.writer].push_back(out.txn.id);
+    for (const auto& r : reads_of(out))
+      if (r.writer.valid()) wr[r.writer].push_back(out.id);
   }
   const auto reads_from_reachable = [&](const TxnId& from, const TxnId& to) {
     std::unordered_set<TxnId> seen{from};
@@ -259,8 +271,8 @@ CheckResult History::check_ww_exclusion() const {
       install_pos[e.obj][e.writer] = part_seq[p]++;
     }
   }
-  const auto partition_dependent = [&](const core::TxnRecord& reader,
-                                       const core::TxnRecord& writer,
+  const auto partition_dependent = [&](const TxnSummary& reader,
+                                       const TxnSummary& writer,
                                        ObjectId conflict_obj) {
     if (!part_.has_value()) return false;
     const auto& part = *part_;
@@ -269,7 +281,7 @@ CheckResult History::check_ww_exclusion() const {
     const auto wp = wo->second.find(writer.id);
     if (wp == wo->second.end()) return false;
     const PartitionId p = part.partition_of(conflict_obj);
-    for (const auto& r : reader.reads) {
+    for (const auto& r : reads_of(reader)) {
       if (!r.writer.valid() || part.partition_of(r.obj) != p) continue;
       const auto ro = install_pos.find(r.obj);
       if (ro == install_pos.end()) continue;
@@ -282,10 +294,10 @@ CheckResult History::check_ww_exclusion() const {
   // Group committed updates by written object. Checked in sorted object
   // order so the conflict reported (first found) is deterministic instead
   // of hash-order dependent.
-  std::unordered_map<ObjectId, std::vector<const TxnOutcome*>> by_obj;
+  std::unordered_map<ObjectId, std::vector<const TxnSummary*>> by_obj;
   for (const auto& out : txns_) {
-    if (!out.committed || out.txn.read_only()) continue;
-    for (ObjectId o : out.txn.ws) by_obj[o].push_back(&out);
+    if (!out.committed || out.read_only()) continue;
+    for (ObjectId o : writes_of(out)) by_obj[o].push_back(&out);
   }
   std::vector<ObjectId> conflict_objs;
   conflict_objs.reserve(by_obj.size());
@@ -299,15 +311,14 @@ CheckResult History::check_ww_exclusion() const {
         const auto& a = *writers[i];
         const auto& b = *writers[j];
         if (!definitely_concurrent(a, b)) continue;
-        if (reads_from_reachable(a.txn.id, b.txn.id) ||
-            reads_from_reachable(b.txn.id, a.txn.id))
+        if (reads_from_reachable(a.id, b.id) ||
+            reads_from_reachable(b.id, a.id))
           continue;
-        if (partition_dependent(a.txn, b.txn, obj) ||
-            partition_dependent(b.txn, a.txn, obj))
+        if (partition_dependent(a, b, obj) || partition_dependent(b, a, obj))
           continue;
         return {false, "concurrent write-write conflict on object " +
-                           std::to_string(obj) + ": " + a.txn.id.str() +
-                           " and " + b.txn.id.str()};
+                           std::to_string(obj) + ": " + a.id.str() + " and " +
+                           b.id.str()};
       }
     }
   }
@@ -319,7 +330,7 @@ CheckResult History::check_consistent_snapshots() const {
   // Written-objects index: (writer, object) -> wrote it?
   for (const auto& out : txns_) {
     if (!out.committed) continue;
-    const auto& reads = out.txn.reads;
+    const auto reads = reads_of(out);
     for (std::size_t i = 0; i < reads.size(); ++i) {
       for (std::size_t j = 0; j < reads.size(); ++j) {
         if (i == j) continue;
@@ -328,8 +339,9 @@ CheckResult History::check_consistent_snapshots() const {
         if (!ry.writer.valid()) continue;
         const auto wit = committed_index_.find(ry.writer);
         if (wit == committed_index_.end()) continue;
-        const auto& w = txns_[wit->second].txn;
-        if (!w.ws.contains(rx.obj)) continue;
+        const auto& w = txns_[wit->second];
+        const auto w_ws = writes_of(w);
+        if (!std::binary_search(w_ws.begin(), w_ws.end(), rx.obj)) continue;
         // W wrote both x and y, and this txn read y from W (or later).
         // Its read of x must then be W's version of x or newer.
         const auto ox = orders_.find(rx.obj);
@@ -338,7 +350,7 @@ CheckResult History::check_consistent_snapshots() const {
         const int w_idx = version_index(ox->second.writers, w.id);
         if (read_idx == -2 || w_idx == -2) continue;
         if (read_idx < w_idx) {
-          return {false, out.txn.id.str() + " observed a fractured snapshot: " +
+          return {false, out.id.str() + " observed a fractured snapshot: " +
                              "read object " + std::to_string(ry.obj) +
                              " from " + w.id.str() + " but object " +
                              std::to_string(rx.obj) + " from before it"};

@@ -24,9 +24,16 @@
 //
 // The checks are deliberately conservative (they may accept a borderline
 // history) but every violation they report is a real one.
+//
+// A recorded transaction is kept as a fixed-size TxnSummary (id, epoch,
+// outcome, three timestamps) whose reads' (object, writer) pairs and write
+// set are appended to two flat arrays: exactly what the checks read, and no
+// heap allocation per transaction.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,10 +48,30 @@ struct CheckResult {
   std::string detail;  // description of the first violation found
 };
 
+/// A terminated transaction as the history-dump files carry it
+/// (front/history_log), and as the live and bench sinks collect it.
 struct TxnOutcome {
   core::TxnRecord txn;
   bool committed = false;
   SimTime response_time = 0;
+};
+
+/// A recorded transaction. Its reads' (object, writer) pairs sit at
+/// [reads_at, reads_at + n_reads) of the History's read array, its write
+/// set (ascending) at [writes_at, writes_at + n_writes) of its write array.
+struct TxnSummary {
+  TxnId id;
+  SimTime begin_time = 0;
+  SimTime submit_time = 0;
+  SimTime response_time = 0;
+  std::uint32_t reads_at = 0;
+  std::uint32_t n_reads = 0;
+  std::uint32_t writes_at = 0;
+  std::uint32_t n_writes = 0;
+  EpochId epoch = 0;
+  bool committed = false;
+
+  [[nodiscard]] bool read_only() const { return n_writes == 0; }
 };
 
 class History {
@@ -64,7 +91,10 @@ class History {
 
   [[nodiscard]] std::size_t committed_count() const;
   [[nodiscard]] std::size_t total_count() const { return txns_.size(); }
-  [[nodiscard]] const std::vector<TxnOutcome>& txns() const { return txns_; }
+  /// Every recorded transaction, in record_txn order.
+  [[nodiscard]] const std::vector<TxnSummary>& summaries() const {
+    return txns_;
+  }
 
   [[nodiscard]] CheckResult check_read_committed() const;
   [[nodiscard]] CheckResult check_serializable() const;
@@ -76,6 +106,19 @@ class History {
   [[nodiscard]] CheckResult check_criterion(const std::string& criterion) const;
 
  private:
+  /// One read of a recorded transaction: which object, and who wrote the
+  /// version read (invalid = the initial version).
+  struct ReadPair {
+    ObjectId obj = 0;
+    TxnId writer;
+  };
+  [[nodiscard]] std::span<const ReadPair> reads_of(const TxnSummary& t) const {
+    return {reads_.data() + t.reads_at, t.n_reads};
+  }
+  [[nodiscard]] std::span<const ObjectId> writes_of(const TxnSummary& t) const {
+    return {writes_.data() + t.writes_at, t.n_writes};
+  }
+
   /// Version order of one object: writers in install order at the
   /// partition's authority site (see build_orders).
   struct ObjectOrder {
@@ -93,7 +136,9 @@ class History {
   /// build_orders().
   [[nodiscard]] SiteId authority_of(PartitionId p) const;
 
-  std::vector<TxnOutcome> txns_;
+  std::vector<TxnSummary> txns_;
+  std::vector<ReadPair> reads_;     // every transaction's reads, in order
+  std::vector<ObjectId> writes_;    // every transaction's write set
   std::vector<core::Cluster::InstallEvent> installs_;
   /// Copied out of the cluster at attach() time: the checks run after the
   /// harness run finishes, typically outliving the Cluster itself, so

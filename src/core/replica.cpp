@@ -536,14 +536,27 @@ void Replica::remember_outcome(const TxnId& id, Outcome o) {
 }
 
 void Replica::schedule_term_gc(const TxnId& id) {
-  cl_.run_after(id_, seconds(5), [this, id] {
+  gc_fifo_.push_back(GcEntry{cl_.now() + kTermGcDelay, id});
+  if (!gc_armed_) arm_term_gc();
+}
+
+void Replica::arm_term_gc() {
+  gc_armed_ = true;
+  cl_.run_after(id_, gc_fifo_[gc_head_].due - cl_.now(),
+                [this] { sweep_term_gc(); });
+}
+
+void Replica::sweep_term_gc() {
+  const SimTime now = cl_.now();
+  while (gc_head_ < gc_fifo_.size() && gc_fifo_[gc_head_].due <= now) {
+    const TxnId id = gc_fifo_[gc_head_++].id;
     auto it = term_.find(id);
     if (it != term_.end() && it->second.in_q) {
       // Still parked in the ordered queue behind an undecided head (its
       // votes may be stuck behind a partition or a crashed site): Q's ids
       // must keep their termination state, so try again later.
-      schedule_term_gc(id);
-      return;
+      gc_fifo_.push_back(GcEntry{now + kTermGcDelay, id});
+      continue;
     }
     // The engine's state rides along (Paxos: the acceptor slot; without
     // this every acceptor leaked one entry per transaction until its FIFO
@@ -551,7 +564,17 @@ void Replica::schedule_term_gc(const TxnId& id) {
     // at all — the erase must not be gated on term_ holding the id.
     ac_->forget(id);
     if (it != term_.end()) term_.erase(it);
-  });
+  }
+  // Drop the swept prefix once it is at least half the vector: the entries
+  // moved are never more than the pops since the last drop, so a push and
+  // its pop stay O(1) amortized.
+  if (2 * gc_head_ >= gc_fifo_.size()) {
+    gc_fifo_.erase(gc_fifo_.begin(),
+                   gc_fifo_.begin() + static_cast<std::ptrdiff_t>(gc_head_));
+    gc_head_ = 0;
+  }
+  gc_armed_ = false;
+  if (!gc_fifo_.empty()) arm_term_gc();
 }
 
 void Replica::process_queue_head() {

@@ -316,10 +316,17 @@ class Replica {
   /// Coordinator-side termination timeout (§5.3 in-doubt resolution).
   void arm_term_timeout(const TxnPtr& t, int round);
   void process_queue_head();
-  /// Erases `term_[id]` after a straggler-safe delay — re-arming while the
-  /// id is still in the ordered queue, since process_queue_head() requires
-  /// every queued id to keep its termination state.
+  /// Erases `term_[id]` and the engine's state for it (Commitment::forget)
+  /// kTermGcDelay from now, after any straggler message — or, while the id
+  /// is still in the ordered queue, another kTermGcDelay later, since
+  /// process_queue_head() requires every queued id to keep its termination
+  /// state. Appends to gc_fifo_; arms the sweep timer if none is armed.
   void schedule_term_gc(const TxnId& id);
+  /// Arms the one sweep timer for the front of gc_fifo_.
+  void arm_term_gc();
+  /// The sweep timer's body: runs every entry of gc_fifo_ due now, then
+  /// re-arms for the new front.
+  void sweep_term_gc();
   void apply_commit(const TxnPtr& t);
   void remove_from_q(const TxnId& id);
   void finish_coordinator(const TxnPtr& t, bool commit);
@@ -385,13 +392,27 @@ class Replica {
   std::unique_ptr<Commitment> ac_;  // the AC realization (spec.ac)
   std::deque<TxnId> q_;  // the termination queue Q of Algorithm 2
   // Retention: an entry is created at delivery (or by a straggler message)
-  // and erased by schedule_term_gc 5s after the *last* of (a) decide() and
-  // (b) a no-local-writes GC participant's early queue leave — the two
-  // paths every transaction takes exactly one of. Steady-state size is
-  // bounded by the 5s straggler window times the decision rate. The same
-  // timer erases the engine's own per-transaction state (Paxos acceptor
-  // slots, Commitment::forget).
+  // and erased by the term-state GC kTermGcDelay after the *last* of (a)
+  // decide() and (b) a no-local-writes GC participant's early queue leave —
+  // the two paths every transaction takes exactly one of. Steady-state size
+  // is bounded by the GC window times the decision rate. The same sweep
+  // erases the engine's own per-transaction state (Paxos acceptor slots,
+  // Commitment::forget).
   std::unordered_map<TxnId, TermState> term_;
+  // Term-state GC: pending erasures in arming order, live from gc_head_ on.
+  // Each is due kTermGcDelay after it was armed, so deadlines never
+  // decrease and a single timer (gc_armed_), armed for the front, serves
+  // them all. A vector allocates on its first push, not at construction.
+  // A crash leaves it alone, like every simulator timer: an erasure armed
+  // before the crash still runs on its deadline.
+  struct GcEntry {
+    SimTime due = 0;
+    TxnId id;
+  };
+  std::vector<GcEntry> gc_fifo_;
+  std::size_t gc_head_ = 0;
+  bool gc_armed_ = false;
+  static constexpr SimDuration kTermGcDelay = seconds(5);
   std::unordered_map<ObjectId, std::uint64_t> latest_seq_;  // Serrano index
   // Certification pipeline (core/conflict_index.h): queued transactions
   // indexed by footprint object, mirroring q_ exactly; plus the bounded

@@ -73,6 +73,8 @@ class Simulator : public LogClock {
   void stop() { stopped_ = true; }
 
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+  /// Events scheduled and not yet run (parked tasks not counted).
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
  private:

@@ -1,10 +1,16 @@
-// Allocation budget of the simulator's event path.
+// Allocation budgets of the simulator's event path and of cluster
+// construction.
 //
 // A counting global operator new (this binary only) measures the heap
 // allocations one committed transaction costs in a fixed 3-site simulation.
 // Every hop of a message or a CPU job used to wrap the previous closure in a
 // new std::function; Task's inline buffer and the parked-task handles remove
 // those, and this budget keeps them from coming back.
+//
+// It also counts the allocations made while one cluster is built. A figure
+// bench builds a cluster per protocol and load point, so a member that
+// allocates on construction (a default-constructed std::deque allocates a
+// map and a node) shows up in every run's setup time.
 //
 // Sanitizer builds replace operator new themselves, so there the counter is
 // left out and the test skips.
@@ -20,6 +26,7 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "harness/metrics.h"
+#include "obs/plane.h"
 #include "protocols/protocols.h"
 #include "workload/client.h"
 #include "workload/workload.h"
@@ -91,6 +98,37 @@ TEST(AllocationBudget, CommittedTransactionsStayUnderBudget) {
   // where closures nested in std::function cost 87.1 and 158.3.
   EXPECT_LT(allocations_per_commit("RC"), 60.0);
   EXPECT_LT(allocations_per_commit("P-Store"), 110.0);
+}
+
+/// Heap allocations made while building one 4-site, rf 1 cluster of
+/// `protocol` around a caller-supplied ObsPlane, as a figure bench does.
+std::uint64_t construction_allocations(const char* protocol) {
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 4, .single_writer = true});
+  core::ClusterConfig cc;
+  cc.sites = 4;
+  cc.replication = 1;
+  cc.seed = 901;
+  cc.plane = &plane;
+  const auto spec = protocols::by_name(protocol);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const auto cluster = std::make_unique<core::Cluster>(cc, spec);
+  const std::uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  std::printf("%s: %llu allocations to build the cluster\n", protocol,
+              static_cast<unsigned long long>(allocs));
+  return allocs;
+}
+
+TEST(AllocationBudget, ClusterConstructionStaysUnderBudget) {
+#ifdef GDUR_SANITIZED
+  GTEST_SKIP() << "the sanitizer owns operator new";
+#endif
+  // Measured on gcc 12 / libstdc++ (the unique_ptr's own allocation
+  // included).
+  for (const char* p : {"RC", "Serrano", "P-Store"})
+    EXPECT_LE(construction_allocations(p), 77u) << p;
+  for (const char* p : {"Jessy2pc", "Walter", "GMU", "S-DUR"})
+    EXPECT_LE(construction_allocations(p), 82u) << p;
 }
 
 }  // namespace

@@ -14,6 +14,13 @@
 // join/retire plan under loss, a partition and a crash. Those rows also
 // print the timeout aborts, recoveries and invariant-monitor violations.
 //
+// A second golden holds rows that run past the 5 s term-state GC horizon
+// (8-9 s: fault-free, DT, chaos with crashes and a WAL, join/retire), so
+// the GC's erasures and re-queues are pinned too. Those rows also print the
+// termination and Paxos acceptor table sizes at the end of the run. They
+// leave out events=: how many simulator events carry the GC is not part of
+// the behavior they pin.
+//
 // Regenerate (only when a change is *supposed* to alter sim behavior):
 //   GDUR_UPDATE_GOLDEN=1 ./build/tests/test_determinism_guard
 #include <gtest/gtest.h>
@@ -37,6 +44,8 @@ namespace {
 
 constexpr const char* kGoldenPath =
     GDUR_SOURCE_DIR "/tests/golden/sim_determinism.txt";
+constexpr const char* kLongGoldenPath =
+    GDUR_SOURCE_DIR "/tests/golden/sim_determinism_long.txt";
 
 class Fnv1a {
  public:
@@ -63,10 +72,11 @@ core::ClusterConfig base_config() {
 }
 
 /// One digest row. `tag` empty = the original fault-free format; a tagged
-/// row prefixes the tag and appends the fault-path counters.
+/// row prefixes the tag and appends the fault-path counters. `long_row`
+/// drops events= and appends the end-of-run table sizes.
 std::string digest_run(const std::string& tag, const std::string& name,
                        const core::ClusterConfig& cfg, int clients,
-                       SimTime window) {
+                       SimTime window, bool long_row = false) {
   const auto spec = protocols::by_name(name);
   core::Cluster cluster(cfg, spec);
   harness::Metrics metrics;
@@ -103,9 +113,14 @@ std::string digest_run(const std::string& tag, const std::string& name,
   }
   cluster.simulator().run_until(window);
 
+  char events[40] = "";
+  if (!long_row)
+    std::snprintf(events, sizeof(events), " events=%llu",
+                  static_cast<unsigned long long>(
+                      cluster.simulator().events_processed()));
   char line[320];
   std::snprintf(line, sizeof(line),
-                "%s%s committed=%llu aborted=%llu exec_fail=%llu events=%llu "
+                "%s%s committed=%llu aborted=%llu exec_fail=%llu%s "
                 "outcomes=%llu txn_hash=%016llx installs=%llu "
                 "install_hash=%016llx",
                 tag.c_str(), name.c_str(),
@@ -113,18 +128,20 @@ std::string digest_run(const std::string& tag, const std::string& name,
                 static_cast<unsigned long long>(metrics.aborted_ro +
                                                 metrics.aborted_upd),
                 static_cast<unsigned long long>(metrics.exec_failures),
-                static_cast<unsigned long long>(
-                    cluster.simulator().events_processed()),
-                static_cast<unsigned long long>(outcomes),
+                events, static_cast<unsigned long long>(outcomes),
                 static_cast<unsigned long long>(txn_hash.value()),
                 static_cast<unsigned long long>(installs),
                 static_cast<unsigned long long>(install_hash.value()));
   if (tag.empty()) return line;
   std::uint64_t timeout_aborts = 0;
   std::uint64_t recoveries = 0;
+  std::uint64_t term = 0;
+  std::uint64_t paxos = 0;
   for (SiteId s = 0; s < static_cast<SiteId>(cfg.sites); ++s) {
     timeout_aborts += cluster.replica(s).timeout_aborts();
     recoveries += cluster.replica(s).recoveries();
+    term += cluster.replica(s).term_table_size();
+    paxos += cluster.replica(s).paxos_table_size();
   }
   char tail[160];
   std::snprintf(tail, sizeof(tail),
@@ -133,7 +150,10 @@ std::string digest_run(const std::string& tag, const std::string& name,
                 static_cast<unsigned long long>(recoveries),
                 static_cast<unsigned long long>(
                     cluster.plane().invariants().violations()));
-  return std::string(line) + tail;
+  std::string row = std::string(line) + tail;
+  if (long_row)
+    row += " term=" + std::to_string(term) + " paxos=" + std::to_string(paxos);
+  return row;
 }
 
 std::string digest_protocol(const std::string& name) {
@@ -198,23 +218,51 @@ std::string build_digest() {
   return out.str();
 }
 
-TEST(DeterminismGuard, SimRunsMatchPrePrBaseline) {
-  const std::string digest = build_digest();
+/// Runs past the term-state GC horizon: decided transactions' state is
+/// erased (or, while still queued, kept another 5 s) inside the window.
+std::string build_long_digest() {
+  std::ostringstream out;
+  for (const char* name : {"P-Store", "Jessy2pc"})
+    out << digest_run("long/", name, base_config(), 12, seconds(8), true)
+        << "\n";
+  out << digest_run("long/dt/", "Serrano", dt_config(), 24, seconds(8), true)
+      << "\n";
+  auto chaos = chaos_config();
+  chaos.faults = sim::FaultPlan::chaos(chaos.sites, seconds(8), 1000);
+  for (const char* name : {"Jessy2pc", "P-Store+Paxos"})
+    out << digest_run("long/chaos/", name, chaos, 24, seconds(8), true)
+        << "\n";
+  out << digest_run("long/reconfig/", "P-Store", reconfig_config(), 24,
+                    seconds(9), true)
+      << "\n";
+  return out.str();
+}
 
+/// Compares `digest` with the golden at `path`, or rewrites the golden
+/// under GDUR_UPDATE_GOLDEN.
+void expect_golden(const char* path, const std::string& digest) {
   if (std::getenv("GDUR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(kGoldenPath, std::ios::binary);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
+    std::ofstream f(path, std::ios::binary);
+    ASSERT_TRUE(f.good()) << "cannot write " << path;
     f << digest;
-    GTEST_SKIP() << "golden regenerated at " << kGoldenPath;
+    GTEST_SKIP() << "golden regenerated at " << path;
   }
 
-  std::ifstream f(kGoldenPath, std::ios::binary);
-  ASSERT_TRUE(f.good()) << "missing golden " << kGoldenPath
+  std::ifstream f(path, std::ios::binary);
+  ASSERT_TRUE(f.good()) << "missing golden " << path
                         << " (run with GDUR_UPDATE_GOLDEN=1 to create)";
   std::stringstream buf;
   buf << f.rdbuf();
   EXPECT_EQ(buf.str(), digest)
       << "simulator behavior diverged from the pre-PR baseline";
+}
+
+TEST(DeterminismGuard, SimRunsMatchPrePrBaseline) {
+  expect_golden(kGoldenPath, build_digest());
+}
+
+TEST(DeterminismGuard, RunsPastTheGcHorizonMatchBaseline) {
+  expect_golden(kLongGoldenPath, build_long_digest());
 }
 
 TEST(DeterminismGuard, DigestIsRunToRunStable) {

@@ -406,8 +406,8 @@ TEST(FaultDeterminism, CrashRecoveryReplayIsReproducible) {
     cfg.faults.crash(1, milliseconds(400), milliseconds(800));
     FaultyRig rig(protocols::by_name(protocol), cfg, 16, seconds(3));
     std::string digest;
-    for (const auto& out : rig.history.txns()) {
-      digest += out.txn.id.str();
+    for (const auto& out : rig.history.summaries()) {
+      digest += out.id.str();
       digest += out.committed ? "+" : "-";
       digest += std::to_string(out.response_time);
       digest += ";";

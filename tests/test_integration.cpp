@@ -141,8 +141,8 @@ TEST(Integration, OutageUnderLoadRecovers) {
 TEST(Integration, MixedCoordinatorsProduceDisjointTxnIds) {
   Rig rig(protocols::rc(), contended(), 16, workload::WorkloadSpec::A(0.5));
   std::set<std::pair<SiteId, std::uint64_t>> ids;
-  for (const auto& t : rig.history.txns())
-    EXPECT_TRUE(ids.insert({t.txn.id.coord, t.txn.id.seq}).second);
+  for (const auto& t : rig.history.summaries())
+    EXPECT_TRUE(ids.insert({t.id.coord, t.id.seq}).second);
 }
 
 }  // namespace

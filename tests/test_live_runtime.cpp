@@ -668,12 +668,19 @@ bool file_has_text(const std::string& path) {
   return in && in.peek() != std::ifstream::traits_type::eof();
 }
 
+/// Removes every file a PlaneAttendant writes under `prefix`.
+void remove_attendant_files(const std::string& prefix) {
+  for (const char* ext :
+       {".json", ".prom", ".flight.txt", ".flight.trace.json"})
+    std::remove((prefix + ext).c_str());
+}
+
 // The attendant gdur_site and run_live share: a site thread blocked past
 // stall_after trips the watchdog once for the episode, and the trip's
 // flight dump lands next to the snapshots.
 TEST(PlaneAttendant, BlockedSiteThreadTripsOnceAndDumps) {
   const std::string prefix = testing::TempDir() + "attendant_blocked";
-  std::remove((prefix + ".flight.txt").c_str());
+  remove_attendant_files(prefix);
   obs::ObsPlane plane(obs::ObsPlaneConfig{2, 64, milliseconds(100)});
   LiveConfig lc;
   lc.base.sites = 2;
@@ -696,11 +703,12 @@ TEST(PlaneAttendant, BlockedSiteThreadTripsOnceAndDumps) {
   EXPECT_EQ(plane.dumps(), 1u);
   EXPECT_TRUE(file_has_text(prefix + ".flight.txt"));
   EXPECT_TRUE(file_has_text(prefix + ".json"));
+  remove_attendant_files(prefix);
 }
 
-// After a burst of transactions every participant holds term-state GC
-// timers, seconds out. Those are not work: an idle cluster holding only
-// them scans clean for 3 x stall_after.
+// After a burst of transactions every participant holds its term-state GC
+// sweep timer, seconds out. That is not work: an idle cluster holding only
+// such timers scans clean for 3 x stall_after.
 TEST(PlaneAttendant, IdleClusterHoldingGcTimersNeverTrips) {
   constexpr int kSites = 3;
   obs::ObsPlane plane(obs::ObsPlaneConfig{kSites, 64, milliseconds(100)});

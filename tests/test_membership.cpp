@@ -144,11 +144,11 @@ TEST(Reconfig, CommittedTransactionsCarryTheirEpoch) {
   ReconfigRig rig(protocols::by_name("RC"), cfg, 12, seconds(3));
 
   bool saw_epoch0 = false, saw_epoch1 = false;
-  for (const auto& out : rig.history.txns()) {
+  for (const auto& out : rig.history.summaries()) {
     if (!out.committed) continue;
-    if (out.txn.epoch == 0) saw_epoch0 = true;
-    if (out.txn.epoch == 1) saw_epoch1 = true;
-    EXPECT_LE(out.txn.epoch, 1u);
+    if (out.epoch == 0) saw_epoch0 = true;
+    if (out.epoch == 1) saw_epoch1 = true;
+    EXPECT_LE(out.epoch, 1u);
   }
   EXPECT_TRUE(saw_epoch0) << "pre-join commits tagged with epoch 0";
   EXPECT_TRUE(saw_epoch1) << "post-join commits tagged with epoch 1";

@@ -184,5 +184,41 @@ TEST(ReplicaRetention, PaxosAcceptorSlotsClearedByTermGc) {
       << undecided << " term entries are still undecided at quiesce";
 }
 
+TEST(ReplicaRetention, PendingEventsDoNotGrowWithDecidedTransactions) {
+  // Term-state GC is due 5 s after a decision, so none falls due in this
+  // 2 s run. One timer per decided transaction per participant would leave
+  // the event queue holding every decision of the run; the replica's single
+  // GC sweep timer leaves the in-flight work and one timer per site.
+  core::ClusterConfig cfg;
+  cfg.sites = 3;
+  cfg.objects_per_site = 10'000;
+  cfg.seed = 5;
+  core::Cluster cluster(cfg, protocols::by_name("P-Store"));
+  harness::Metrics metrics;
+  constexpr int kClients = 96;
+  std::vector<std::unique_ptr<workload::ClientActor>> actors;
+  for (int i = 0; i < kClients; ++i) {
+    actors.push_back(std::make_unique<workload::ClientActor>(
+        cluster, static_cast<SiteId>(i % cfg.sites),
+        workload::WorkloadSpec::A(0.7), metrics,
+        mix64(31'000 + static_cast<std::uint64_t>(i))));
+    actors.back()->start(i * microseconds(97));
+  }
+  cluster.simulator().run_until(seconds(2));
+
+  std::uint64_t decided = 0;
+  for (SiteId s = 0; s < static_cast<SiteId>(cfg.sites); ++s)
+    decided += cluster.replica(s).term_breakdown().decided;
+  // A bound on the in-flight population: a few events per client's open
+  // transaction (messages, CPU jobs, its think time) and one GC timer per
+  // site. Measured: 95 pending here, against 4,540 with one GC timer per
+  // decision.
+  const std::size_t bound = 4 * kClients;
+  ASSERT_GT(decided, 4 * bound) << "too little load to tell the regimes apart";
+  EXPECT_LT(cluster.simulator().pending(), bound)
+      << cluster.simulator().pending() << " events pending after " << decided
+      << " decided term entries";
+}
+
 }  // namespace
 }  // namespace gdur
