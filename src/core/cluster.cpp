@@ -81,7 +81,6 @@ Cluster::Cluster(const ClusterConfig& cfg, ProtocolSpec spec)
 
   term_timeout_ = cfg.term_timeout;
   client_timeout_ = cfg.client_timeout;
-  vote_retry_ = cfg.vote_retry;
   trace_ = cfg.trace;
   net_->set_trace(trace_);
   if (!cfg.faults.empty()) {
@@ -132,10 +131,8 @@ void Cluster::drive_reconfig(const ReconfigAction& a, int attempt) {
   // Always re-check later: this retries a refused start, and also restarts
   // a proposal that died with its coordinator (recovery abandons it durably
   // when it can no longer be the next epoch).
-  const SimDuration delay =
-      std::max<SimDuration>(vote_retry_ * (accepted ? 32 : 4),
-                            milliseconds(50));
-  sim_.after(delay, [this, a, attempt] { drive_reconfig(a, attempt + 1); });
+  sim_.after(kVoteRetry * (accepted ? 32 : 4),
+             [this, a, attempt] { drive_reconfig(a, attempt + 1); });
 }
 
 void Cluster::send_reconfig(SiteId from, SiteId to, ReconfigMsg m) {

@@ -77,9 +77,6 @@ struct ClusterConfig {
   /// up after this long and counts the transaction as timed out
   /// (conservatively non-committed). 0 disables.
   SimDuration client_timeout = 0;
-  /// Initial interval for protocol-level vote re-announcement (doubles up
-  /// to 8x while a transaction stays undecided).
-  SimDuration vote_retry = milliseconds(150);
   /// Trace recorder to attach (obs), or nullptr for a trace-free run. Not
   /// owned; must outlive the cluster. Every hook in the engine is a null
   /// check on this pointer, so a trace-free run is byte-identical to one
@@ -92,6 +89,9 @@ struct ClusterConfig {
   /// owned, and must outlive the cluster (to share it with a front door,
   /// or to read it after the cluster is gone). Recording never schedules
   /// events or charges CPU, so the plane never perturbs the simulation.
+  /// The §5.3 window (Transport::messages_sent()) is read off the plane's
+  /// totals, so a plane shared by two running simulated clusters mixes
+  /// their windows.
   obs::ObsPlane* plane = nullptr;
   /// Online-reconfiguration schedule (core/membership). Empty = the fixed
   /// membership of the paper's experiments: every site is a member of the
@@ -259,7 +259,6 @@ class Cluster : public comm::Port {
   [[nodiscard]] obs::ObsPlane& plane() const override { return plane_; }
   [[nodiscard]] SimDuration term_timeout() const { return term_timeout_; }
   [[nodiscard]] SimDuration client_timeout() const { return client_timeout_; }
-  [[nodiscard]] SimDuration vote_retry() const { return vote_retry_; }
   /// True when replicas must arm termination timeouts / vote retries.
   [[nodiscard]] bool fault_tolerance_on() const {
     return fault_ != nullptr && term_timeout_ > 0;
@@ -374,7 +373,6 @@ class Cluster : public comm::Port {
   obs::TraceRecorder* trace_ = nullptr;
   SimDuration term_timeout_ = 0;
   SimDuration client_timeout_ = 0;
-  SimDuration vote_retry_ = 0;
   std::function<void(const InstallEvent&)> install_observer_;
   std::function<void(const VoteEvent&)> vote_observer_;
 };

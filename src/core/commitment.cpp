@@ -5,7 +5,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "core/cluster.h"
 #include "core/replica.h"
 #include "net/wire.h"
@@ -219,9 +218,6 @@ class CoordinatorCommit : public Commitment {
  private:
   void presume_abort(const TxnPtr& t) {
     ++r_.timeout_aborts_;
-    GDUR_DEBUG("site %d presumed abort txn %d.%llu",
-               static_cast<int>(r_.site()), static_cast<int>(t->id.coord),
-               static_cast<unsigned long long>(t->id.seq));
     broadcast(t, false);
     r_.decide(t, false, obs::AbortReason::kPresumedAbort);
   }

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <optional>
 
-#include "common/logging.h"
 #include "core/cluster.h"
 #include "net/wire.h"
 
@@ -212,10 +211,6 @@ void Replica::exec_commit(const MutTxnPtr& t, std::function<void(bool)> cb) {
   state_of(t);
   oslot_.record(obs::Counter::kTxnSubmitted);
   oring_.append("submit", cl_.now(), id_, t->id.coord, t->id.seq);
-  GDUR_TRACE("site %d submit txn %d.%llu rs=%zu ws=%zu", static_cast<int>(id_),
-             static_cast<int>(t->id.coord),
-             static_cast<unsigned long long>(t->id.seq), t->rs.size(),
-             t->ws.size());
   if (auto* tr = cl_.trace())
     tr->txn_submitted(t->id, id_, t->submit_time, t->read_only());
 
@@ -257,9 +252,6 @@ void Replica::on_term_delivered(const TxnPtr& t) {
   oslot_.record(obs::Counter::kTermDelivered);
   oslot_.record_value(obs::Hist::kQueueDepth, q_.size());
   oring_.append("deliver", cl_.now(), id_, t->id.coord, t->id.seq);
-  GDUR_TRACE("site %d xdeliver txn %d.%llu |Q|=%zu", static_cast<int>(id_),
-             static_cast<int>(t->id.coord),
-             static_cast<unsigned long long>(t->id.seq), q_.size());
   if (auto* tr = cl_.trace())
     tr->term_delivered(t->id, id_, cl_.now());
 
@@ -382,10 +374,6 @@ void Replica::cast_vote(const TxnPtr& t, bool preemptive_abort) {
         return !preemptive_abort && evaluate_certify(*t);
       },
       [this, t, service](bool v) {
-        GDUR_TRACE("site %d certify txn %d.%llu vote=%d",
-                   static_cast<int>(id_), static_cast<int>(t->id.coord),
-                   static_cast<unsigned long long>(t->id.seq),
-                   static_cast<int>(v));
         if (auto* tr = cl_.trace())
           tr->certified(t->id, id_, cl_.now(), service, v);
         oslot_.record(obs::Counter::kCertified);
@@ -492,10 +480,6 @@ void Replica::decide(const TxnPtr& t, bool commit, obs::AbortReason reason) {
   st.committed = commit;
   remember_outcome(t->id,
                    Outcome{commit, commit ? obs::AbortReason::kNone : reason});
-  GDUR_DEBUG("site %d decide txn %d.%llu -> %s", static_cast<int>(id_),
-             static_cast<int>(t->id.coord),
-             static_cast<unsigned long long>(t->id.seq),
-             commit ? "commit" : obs::abort_reason_name(reason));
   if (auto* tr = cl_.trace())
     tr->decided(t->id, id_, cl_.now(), commit, reason);
   oslot_.record(obs::Counter::kDecisions);
@@ -754,8 +738,6 @@ void Replica::on_recover() {
   ++recoveries_;
   auto* wal = cl_.wal(id_);
   if (wal == nullptr) return;
-  GDUR_DEBUG("site %d recovering: replaying %zu stable WAL records",
-             static_cast<int>(id_), wal->stable().size());
 
   // Replay the stable log in append (= original delivery) order.
   // Reconfiguration records rebuild membership state: the last logged
@@ -894,7 +876,6 @@ void Replica::on_recover() {
   if (replayed > 0) {
     const auto replay_cost =
         cl_.cost().queue_op * static_cast<SimDuration>(replayed);
-    recovery_busy_ += replay_cost;
     cl_.run_local(id_, replay_cost, [] {});
   }
 }
@@ -965,7 +946,6 @@ void Replica::activate_epoch(EpochId e) {
     if (id_ != t->id.coord && !has_local_writes(*t)) continue;
     forward_installs(t, e);
   }
-  GDUR_DEBUG("site %d activates epoch %u", static_cast<int>(id_), e);
 }
 
 void Replica::forward_installs(const TxnPtr& t, EpochId e) {
@@ -1079,7 +1059,7 @@ std::vector<SiteId> Replica::change_parties(
 
 void Replica::after_backoff(int round, Task fn) {
   const SimDuration delay =
-      cl_.vote_retry() * static_cast<SimDuration>(1 << std::min(round, 3));
+      kVoteRetry * static_cast<SimDuration>(1 << std::min(round, 3));
   cl_.run_after(id_, delay, [this, fn = std::move(fn)]() mutable {
     if (!cl_.site_down(id_)) fn();
   });
@@ -1105,8 +1085,6 @@ void Replica::reconfig_abort(EpochId e) {
   rcfg_->decided = true;
   const MembershipView next = rcfg_->next;
   const SiteId subject = rcfg_->subject;
-  GDUR_DEBUG("site %d abandons reconfiguration to epoch %u",
-             static_cast<int>(id_), e);
   log_reconfig(store::WalRecord::Kind::kReconfigAbort, next, id_,
                [this, e, subject] {
                  rcfg_.reset();
@@ -1355,8 +1333,6 @@ void Replica::handle_snap_reply(const ReconfigMsg& m) {
 
 void Replica::joiner_maybe_ack() {
   if (!transfer_.done || pending_.coord == kNoSite) return;
-  GDUR_DEBUG("site %d: state transfer for epoch %u complete",
-             static_cast<int>(id_), transfer_.epoch);
   send_ack(pending_.coord, transfer_.epoch);
 }
 

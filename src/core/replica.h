@@ -47,6 +47,11 @@ namespace gdur::core {
 
 class Cluster;
 
+/// Initial interval of the protocol-level retries: vote re-announcement and
+/// the reconfiguration rounds wait this long, doubling up to 8x while the
+/// transaction or epoch stays undecided.
+inline constexpr SimDuration kVoteRetry = milliseconds(150);
+
 class Replica {
  public:
   Replica(Cluster& cluster, SiteId id);
@@ -142,8 +147,6 @@ class Replica {
   }
   [[nodiscard]] std::uint64_t timeout_aborts() const { return timeout_aborts_; }
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  /// Total CPU time spent replaying the log after crashes.
-  [[nodiscard]] SimDuration recovery_busy() const { return recovery_busy_; }
 
   // ------------------------------------------------------------------
   // Accessors for certify() plug-ins and tests.
@@ -427,7 +430,6 @@ class Replica {
   static constexpr std::size_t kDecidedCacheCap = 200'000;
   std::uint64_t timeout_aborts_ = 0;
   std::uint64_t recoveries_ = 0;
-  SimDuration recovery_busy_ = 0;
 
   // Coordinator state.
   std::uint64_t txn_counter_ = 0;

@@ -41,6 +41,8 @@ RunResult run_experiment(const core::ProtocolSpec& spec,
   sim.run_until(cfg.warmup);
   metrics.reset();
   cluster.transport().reset_accounting();
+  const std::uint64_t retransmits_before =
+      cluster.plane().total(obs::Counter::kRetransmits);
   if (tr != nullptr) tr->reset_counters();
   const std::uint64_t events_before = sim.events_processed();
 
@@ -52,9 +54,6 @@ RunResult run_experiment(const core::ProtocolSpec& spec,
   r.clients = cfg.clients;
   r.throughput_tps = static_cast<double>(metrics.committed()) / window_s;
   r.upd_term_latency_ms = metrics.upd_term_latency.mean_ms();
-  r.upd_term_latency_p50 = metrics.upd_term_latency.percentile_ms(0.50);
-  r.upd_term_latency_p95 = metrics.upd_term_latency.percentile_ms(0.95);
-  r.upd_term_latency_p99 = metrics.upd_term_latency.percentile_ms(0.99);
   r.txn_latency_ms = metrics.txn_latency.mean_ms();
   r.txn_latency_p50 = metrics.txn_latency.percentile_ms(0.50);
   r.txn_latency_p95 = metrics.txn_latency.percentile_ms(0.95);
@@ -72,16 +71,12 @@ RunResult run_experiment(const core::ProtocolSpec& spec,
   r.messages = cluster.transport().messages_sent();
   r.events_per_second =
       static_cast<double>(sim.events_processed() - events_before) / window_s;
-  const auto& fs = cluster.transport().fault_stats();
-  r.msgs_dropped = fs.dropped;
-  r.msgs_retransmitted = fs.retransmissions;
-  r.msgs_duplicated = fs.duplicates;
-  r.msgs_expired = fs.expired;
+  r.msgs_retransmitted =
+      cluster.plane().total(obs::Counter::kRetransmits) - retransmits_before;
   r.txns_timed_out = metrics.txns_timed_out;
   for (SiteId s = 0; s < static_cast<SiteId>(cluster.sites()); ++s) {
     r.timeout_aborts += cluster.replica(s).timeout_aborts();
     r.recoveries += cluster.replica(s).recoveries();
-    r.recovery_ms += to_ms(cluster.replica(s).recovery_busy());
   }
   r.aborts_by_reason = metrics.aborts_by_reason;
   for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {

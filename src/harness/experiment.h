@@ -29,9 +29,6 @@ struct RunResult {
   int clients = 0;
   double throughput_tps = 0;
   double upd_term_latency_ms = 0;   // mean termination latency, update txns
-  double upd_term_latency_p50 = 0;
-  double upd_term_latency_p95 = 0;
-  double upd_term_latency_p99 = 0;
   double txn_latency_ms = 0;        // mean full-txn latency, committed txns
   double txn_latency_p50 = 0;
   double txn_latency_p95 = 0;
@@ -45,14 +42,10 @@ struct RunResult {
   std::uint64_t messages = 0;
   double events_per_second = 0;     // simulator events in the window
   // Dependability counters (nonzero only under fault injection).
-  std::uint64_t msgs_dropped = 0;        // delivery attempts lost/blocked
-  std::uint64_t msgs_retransmitted = 0;  // extra attempts sent
-  std::uint64_t msgs_duplicated = 0;     // duplicate deliveries absorbed
-  std::uint64_t msgs_expired = 0;        // abandoned after give_up
+  std::uint64_t msgs_retransmitted = 0;  // extra attempts sent (window)
   std::uint64_t txns_timed_out = 0;      // client gave up waiting
   std::uint64_t timeout_aborts = 0;      // coordinator presumed-abort
   std::uint64_t recoveries = 0;          // crash recoveries completed
-  double recovery_ms = 0;                // total log-replay time, all sites
   // Abort-reason taxonomy (indexed by obs::AbortReason; always filled).
   std::array<std::uint64_t, obs::kAbortReasonCount> aborts_by_reason{};
   // Per-phase lifecycle breakdown of committed update transactions,

@@ -325,13 +325,6 @@ void LiveCluster::stop() {
   threads_.clear();
 }
 
-std::uint64_t LiveCluster::site_total(obs::Counter c) const {
-  std::uint64_t n = 0;
-  for (int s = 0; s < plane().config().sites; ++s)
-    n += plane().slot(static_cast<SiteId>(s)).value(c);
-  return n;
-}
-
 void LiveCluster::post(SiteId at, Task fn) {
   mailboxes_[at]->post(std::move(fn));
 }

@@ -134,12 +134,12 @@ class LiveCluster : public core::Cluster {
   [[nodiscard]] bool site_down(SiteId) const override { return false; }
 
   /// Frames / bytes (length prefixes included) put on inter-site links:
-  /// the plane's kMsgsSent / kBytesSent summed over its site slots.
+  /// the plane's kMsgsSent / kBytesSent totals.
   [[nodiscard]] std::uint64_t live_messages() const {
-    return site_total(obs::Counter::kMsgsSent);
+    return plane().total(obs::Counter::kMsgsSent);
   }
   [[nodiscard]] std::uint64_t live_bytes() const {
-    return site_total(obs::Counter::kBytesSent);
+    return plane().total(obs::Counter::kBytesSent);
   }
   /// Coalesced frames sent / messages carried inside them (0 with
   /// coalescing off). Site threads write, any thread reads.
@@ -204,8 +204,6 @@ class LiveCluster : public core::Cluster {
   void flush_batch(SiteId from, SiteId to);
   /// Ships every pending batch of `from` (the mailbox idle hook).
   void flush_batches(SiteId from);
-  /// Counter `c` summed over the plane's site slots.
-  [[nodiscard]] std::uint64_t site_total(obs::Counter c) const;
 
   static constexpr std::size_t kTxnCacheCap = 200'000;
 

@@ -24,6 +24,13 @@ Transport::Transport(sim::Simulator& simulator, Topology topology,
     cpus_.push_back(std::make_unique<sim::CpuResource>(sim_, cores_per_site));
 }
 
+void Transport::count(SiteId site, std::uint64_t bytes) {
+  auto& slot = plane_.slot(site);
+  slot.record(obs::Counter::kMsgsSent);
+  slot.record(obs::Counter::kBytesSent, bytes);
+  slot.record_value(obs::Hist::kMsgBytes, bytes);
+}
+
 SimDuration Transport::link_delay(SiteId src, SiteId dst, std::uint64_t bytes) {
   const SimDuration base = topo_.latency(src, dst);
   const double u = 2.0 * jitter_rng_.next_double() - 1.0;  // [-1, 1)
@@ -45,12 +52,10 @@ SimTime Transport::resolve_delivery(SiteId src, SiteId dst,
       if (fault_->duplicate(src, dst, attempt)) {
         // The receiver spends a dispatch on the duplicate before its
         // sequence number discards it; logically it is delivered once.
-        ++fstats_.duplicates;
         cpu(dst).charge_after(arrival, cost_.msg_recv);
       }
       return arrival;
     }
-    ++fstats_.dropped;
     if (trace_ != nullptr)
       trace_->fault(obs::FaultKind::kDrop, src, dst, attempt);
     plane_.slot(src).record(obs::Counter::kMsgsDropped);
@@ -65,14 +70,12 @@ SimTime Transport::resolve_delivery(SiteId src, SiteId dst,
     rto = std::min(static_cast<SimDuration>(double(rto) * rc.backoff),
                    rc.max_rto);
     if (attempt - departure > rc.give_up) {
-      ++fstats_.expired;
       if (trace_ != nullptr)
         trace_->fault(obs::FaultKind::kExpire, src, dst, attempt);
       plane_.slot(src).record(obs::Counter::kMsgsExpired);
       plane_.ring(src).append("msg_expire", attempt, src, dst);
       return sim::kNever;
     }
-    ++fstats_.retransmissions;
     if (trace_ != nullptr)
       trace_->fault(obs::FaultKind::kRetransmit, src, dst, attempt);
     plane_.slot(src).record(obs::Counter::kRetransmits);
@@ -83,12 +86,7 @@ SimTime Transport::resolve_delivery(SiteId src, SiteId dst,
 void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
                      Handler handler, obs::MsgClass cls) {
   if (fault_ != nullptr && cpu(src).down_at(sim_.now())) return;  // dead site
-  ++messages_;
-  bytes_ += bytes;
-  auto& slot = plane_.slot(src);
-  slot.record(obs::Counter::kMsgsSent);
-  slot.record(obs::Counter::kBytesSent, bytes);
-  slot.record_value(obs::Hist::kMsgBytes, bytes);
+  count(src, bytes);
   const SimDuration send_cost = cost_.msg_send + cost_.marshal(bytes);
   const SimDuration recv_cost = cost_.msg_recv + cost_.unmarshal(bytes);
   // The departure instant is known synchronously (deterministic CPU model),
@@ -128,7 +126,6 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
       // receiver acknowledged at the transport level but lost the message
       // before the application saw it. Protocol retries must recover it.
       sim_.drop(h);
-      ++fstats_.expired;
       if (trace_ != nullptr)
         trace_->fault(obs::FaultKind::kExpire, dst, kNoSite, sim_.now());
       plane_.slot(dst).record(obs::Counter::kMsgsExpired);
@@ -146,18 +143,14 @@ void Transport::send(SiteId src, SiteId dst, std::uint64_t bytes,
         sim_.run_parked(h);
         return;
       }
-      sim_.drop(h);
-      ++fstats_.expired;  // crashed while the handler was queued
+      sim_.drop(h);  // crashed while the handler was queued
       plane_.slot(dst).record(obs::Counter::kMsgsExpired);
     });
   });
 }
 
 void Transport::client_send(SiteId dst, std::uint64_t bytes, Handler handler) {
-  ++messages_;
-  bytes_ += bytes;
-  plane_.slot(dst).record(obs::Counter::kMsgsSent);
-  plane_.slot(dst).record(obs::Counter::kBytesSent, bytes);
+  count(dst, bytes);
   if (trace_ != nullptr)
     trace_->message(obs::MsgClass::kClientReq, kNoSite, dst, sim_.now(),
                     sim_.now() + topo_.client_latency());
@@ -170,10 +163,7 @@ void Transport::client_send(SiteId dst, std::uint64_t bytes, Handler handler) {
 
 void Transport::send_to_client(SiteId src, std::uint64_t bytes,
                                Handler handler) {
-  ++messages_;
-  bytes_ += bytes;
-  plane_.slot(src).record(obs::Counter::kMsgsSent);
-  plane_.slot(src).record(obs::Counter::kBytesSent, bytes);
+  count(src, bytes);
   if (trace_ != nullptr)
     trace_->message(obs::MsgClass::kClientResp, src, kNoSite, sim_.now(),
                     sim_.now() + topo_.client_latency());
@@ -191,10 +181,17 @@ void Transport::send_to_client(SiteId src, std::uint64_t bytes,
           });
 }
 
+std::uint64_t Transport::messages_sent() const {
+  return plane_.total(obs::Counter::kMsgsSent) - window_msgs0_;
+}
+
+std::uint64_t Transport::bytes_sent() const {
+  return plane_.total(obs::Counter::kBytesSent) - window_bytes0_;
+}
+
 void Transport::reset_accounting() {
-  messages_ = 0;
-  bytes_ = 0;
-  fstats_ = {};
+  window_msgs0_ = plane_.total(obs::Counter::kMsgsSent);
+  window_bytes0_ = plane_.total(obs::Counter::kBytesSent);
   for (auto& c : cpus_) c->reset_accounting();
 }
 

@@ -15,12 +15,12 @@
 // send runs through an ack/retransmit layer. A delivery attempt that is
 // dropped (lossy link), blocked (partition) or addressed to a crashed site
 // is retried after an exponentially backed-off RTO; each retry charges the
-// sender CPU and is counted in FaultStats. The link-clock FIFO horizon is
-// applied to the *final* delivery instant, so the exactly-once FIFO
-// contract survives loss and duplication — exactly what TCP gives the
-// paper's middleware. A message still undelivered after `give_up` is
-// abandoned (broken connection); protocol-level timeouts and retries
-// (core::Replica) take over from there.
+// sender CPU and is counted in the sender's plane slot (kRetransmits). The
+// link-clock FIFO horizon is applied to the *final* delivery instant, so the
+// exactly-once FIFO contract survives loss and duplication — exactly what
+// TCP gives the paper's middleware. A message still undelivered after
+// `give_up` is abandoned (broken connection); protocol-level timeouts and
+// retries (core::Replica) take over from there.
 #pragma once
 
 #include <cstdint>
@@ -45,20 +45,12 @@ class ObsPlane;
 
 namespace gdur::net {
 
-/// Counters of the fault/retransmit layer (all zero on fault-free runs).
-struct FaultStats {
-  std::uint64_t dropped = 0;         // delivery attempts lost or blocked
-  std::uint64_t retransmissions = 0; // extra attempts sent
-  std::uint64_t duplicates = 0;      // duplicate deliveries absorbed
-  std::uint64_t expired = 0;         // messages abandoned after give_up
-};
-
 class Transport {
  public:
   using Handler = Task;
 
-  /// `plane` receives the per-site message and fault counters; not owned,
-  /// must outlive the transport.
+  /// `plane` receives the per-site message and fault counters, the only
+  /// tally of them; not owned, must outlive the transport.
   Transport(sim::Simulator& simulator, Topology topology, obs::ObsPlane& plane,
             sim::CostModel cost = {}, int cores_per_site = 4,
             std::uint64_t jitter_seed = 11);
@@ -91,9 +83,13 @@ class Transport {
     cpu(site).submit(service, std::move(work));
   }
 
-  /// Messages sent so far (for the message-complexity reports of §5.3).
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
+  /// Messages and bytes sent since the last reset_accounting() (the
+  /// message-complexity window of §5.3): the growth of the plane's
+  /// kMsgsSent / kBytesSent totals.
+  [[nodiscard]] std::uint64_t messages_sent() const;
+  [[nodiscard]] std::uint64_t bytes_sent() const;
+  /// Opens a new window: remembers the plane's totals (the plane itself is
+  /// never reset) and zeroes every site's CPU busy time.
   void reset_accounting();
 
   /// Jitter amplitude as a fraction of the link latency (default 2%).
@@ -109,14 +105,15 @@ class Transport {
   /// Installs a fault injector; `fi` may be nullptr to disable. Not owned.
   void set_fault_injector(sim::FaultInjector* fi) { fault_ = fi; }
   [[nodiscard]] sim::FaultInjector* fault_injector() const { return fault_; }
-  [[nodiscard]] const FaultStats& fault_stats() const { return fstats_; }
 
   /// Installs a trace recorder (obs); nullptr disables. Not owned. Every
   /// hook is a null check — tracing never perturbs the simulation.
   void set_trace(obs::TraceRecorder* tr) { trace_ = tr; }
-  [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
 
  private:
+  /// Counts one message of `bytes` sent by (or, from a client, to) `site`.
+  void count(SiteId site, std::uint64_t bytes);
+
   [[nodiscard]] SimDuration link_delay(SiteId src, SiteId dst,
                                        std::uint64_t bytes);
 
@@ -139,12 +136,11 @@ class Transport {
   /// plan would shift every subsequent link delay.
   Rng retransmit_rng_;
   double jitter_ = 0.02;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bytes_ = 0;
   sim::FaultInjector* fault_ = nullptr;
-  FaultStats fstats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::ObsPlane& plane_;
+  std::uint64_t window_msgs0_ = 0;   // plane totals at reset_accounting()
+  std::uint64_t window_bytes0_ = 0;
 };
 
 }  // namespace gdur::net

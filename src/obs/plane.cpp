@@ -28,6 +28,12 @@ ObsPlane::ObsPlane(ObsPlaneConfig cfg)
   });
 }
 
+std::uint64_t ObsPlane::total(Counter c) const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < stats_.slots(); ++i) n += stats_.slot(i).value(c);
+  return n;
+}
+
 void ObsPlane::dump_flight(const char* reason) {
   // Render outside the mutex: collect() only reads ring atomics.
   std::string text = flight_.dump_text(reason);

@@ -73,6 +73,10 @@ class ObsPlane {
     return flight_.ring(s < static_cast<SiteId>(cfg_.sites) ? s : 0);
   }
 
+  /// Counter `c` summed over every slot. Nothing resets the plane, so a
+  /// window is the difference of two totals.
+  [[nodiscard]] std::uint64_t total(Counter c) const;
+
   /// Where automatic flight dumps go. Default: retained in last_dump().
   using DumpSink = std::function<void(const char* reason,
                                       const std::string& text,

@@ -41,7 +41,6 @@ const char* counter_name(Counter c) {
 
 const char* hist_name(Hist h) {
   switch (h) {
-    case Hist::kCertQueueUs: return "cert_queue_us";
     case Hist::kCertifyUs: return "certify_us";
     case Hist::kQueueDepth: return "queue_depth";
     case Hist::kMsgBytes: return "msg_bytes";

@@ -74,8 +74,7 @@ enum class Counter : std::uint8_t {
 /// buckets, bucket i counting values v with floor(log2(v)) == i (v == 0
 /// lands in bucket 0), the last bucket absorbing overflow.
 enum class Hist : std::uint8_t {
-  kCertQueueUs = 0,  // time a termination entry waits at the queue head
-  kCertifyUs,        // certification service time (sim: analytic charge)
+  kCertifyUs = 0,    // certification service time (sim: analytic charge)
   kQueueDepth,       // termination-queue length sampled at delivery
   kMsgBytes,         // per-message payload size
   kCount

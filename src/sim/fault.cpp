@@ -160,16 +160,10 @@ double FaultInjector::drop_prob(SiteId src, SiteId dst, SimTime t) const {
 bool FaultInjector::attempt(SiteId src, SiteId dst, SimTime sent,
                             SimTime arrival) {
   if (link_cut(src, dst, sent) || crashed(src, sent) ||
-      crashed(dst, arrival)) {
-    ++drops_;
+      crashed(dst, arrival))
     return false;
-  }
   const double p = drop_prob(src, dst, sent);
-  if (p > 0.0 && rng_.next_bool(p)) {
-    ++drops_;
-    return false;
-  }
-  return true;
+  return !(p > 0.0 && rng_.next_bool(p));
 }
 
 bool FaultInjector::duplicate(SiteId src, SiteId dst, SimTime t) {
@@ -180,11 +174,7 @@ bool FaultInjector::duplicate(SiteId src, SiteId dst, SimTime t) {
     if (t < f.from || t >= f.until) continue;
     p = std::max(p, f.dup_prob);
   }
-  if (p > 0.0 && rng_.next_bool(p)) {
-    ++duplicates_;
-    return true;
-  }
-  return false;
+  return p > 0.0 && rng_.next_bool(p);
 }
 
 }  // namespace gdur::sim

@@ -161,15 +161,12 @@ class FaultInjector {
 
   /// One delivery attempt departing `src` at `sent`, arriving at `dst` at
   /// `arrival`. Consumes randomness for the loss trial; returns true if the
-  /// attempt gets through. Counts drops.
+  /// attempt gets through.
   bool attempt(SiteId src, SiteId dst, SimTime sent, SimTime arrival);
 
   /// Should the (successful) delivery also spawn a duplicate? (The receiver
   /// deduplicates — see net::Transport — so this only wastes resources.)
   bool duplicate(SiteId src, SiteId dst, SimTime t);
-
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
 
   /// True — and one occurrence consumed — when a sabotage entry of `kind`
   /// at `site` covers `t` and still has budget. The engine misbehaves at
@@ -181,8 +178,6 @@ class FaultInjector {
 
   FaultPlan plan_;
   Rng rng_;
-  std::uint64_t drops_ = 0;
-  std::uint64_t duplicates_ = 0;
   std::vector<int> sabotage_left_;  // remaining budget per plan_.sabotage
 };
 

@@ -91,23 +91,12 @@ void Simulator::fire(Key k) {
   run_parked(Handle{static_cast<std::uint32_t>(k.seq_slot & kSlotMask)});
 }
 
-namespace {
-// While a simulator runs events, it is its thread's log clock.
-struct LogClockScope {
-  const LogClock* outer = log_clock();
-  explicit LogClockScope(const LogClock* clock) { set_log_clock(clock); }
-  ~LogClockScope() { set_log_clock(outer); }
-};
-}  // namespace
-
 void Simulator::run() {
-  const LogClockScope clock(this);
   stopped_ = false;
   while (!heap_.empty() && !stopped_) fire(pop());
 }
 
 bool Simulator::run_until(SimTime t) {
-  const LogClockScope clock(this);
   stopped_ = false;
   while (!heap_.empty() && !stopped_ && heap_.front().t <= t) fire(pop());
   if (!stopped_ && now_ < t) now_ = t;

@@ -17,13 +17,12 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/sim_time.h"
 #include "common/task.h"
 
 namespace gdur::sim {
 
-class Simulator : public LogClock {
+class Simulator {
  public:
   using Event = Task;
   /// A task parked in the slab (park()). It runs once — scheduled by at(),
@@ -34,8 +33,6 @@ class Simulator : public LogClock {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] SimTime log_now() const override { return now_; }
 
   /// Current virtual time.
   [[nodiscard]] SimTime now() const { return now_; }
@@ -60,9 +57,7 @@ class Simulator : public LogClock {
   /// Destroys the parked task `h` without running it.
   void drop(Handle h);
 
-  /// Runs events until the queue drains or stop() is called. While events
-  /// run, the simulator is its thread's log clock (common/logging), so
-  /// GDUR_TRACE lines carry simulated time.
+  /// Runs events until the queue drains or stop() is called.
   void run();
 
   /// Runs events with timestamp <= `t`; afterwards now() == t unless the run

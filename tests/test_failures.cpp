@@ -163,7 +163,7 @@ TEST(Retransmit, BackoffIsCappedUnderALongBlackout) {
   EXPECT_GT(at, seconds(2));
   EXPECT_LT(at, seconds(2) + milliseconds(60))
       << "a capped RTO probes the healed link within ~max_rto (+jitter)";
-  EXPECT_GE(net.fault_stats().retransmissions, 40u)
+  EXPECT_GE(plane.total(obs::Counter::kRetransmits), 40u)
       << "with the cap the sender probes ~every 40 ms, not exponentially";
 }
 

@@ -65,7 +65,6 @@ TEST(FaultInjector, CertainLossDropsEveryAttempt) {
   plan.drop_all(1.0);
   sim::FaultInjector fi(plan);
   for (int i = 0; i < 16; ++i) EXPECT_FALSE(fi.attempt(0, 1, i, i + 1));
-  EXPECT_EQ(fi.drops(), 16u);
 }
 
 TEST(FaultInjector, ChaosPlanIsAPureFunctionOfItsSeed) {
@@ -118,9 +117,10 @@ TEST_F(FaultyTransport, LossyLinkStillDeliversExactlyOnceViaRetransmit) {
     });
   sim_.run();
   EXPECT_EQ(delivered, 50) << "every message must arrive exactly once";
-  EXPECT_GT(net_.fault_stats().dropped, 0u);
-  EXPECT_EQ(net_.fault_stats().retransmissions, net_.fault_stats().dropped);
-  EXPECT_EQ(net_.fault_stats().expired, 0u);
+  const auto dropped = plane_.total(obs::Counter::kMsgsDropped);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(plane_.total(obs::Counter::kRetransmits), dropped);
+  EXPECT_EQ(plane_.total(obs::Counter::kMsgsExpired), 0u);
 }
 
 TEST_F(FaultyTransport, FifoOrderSurvivesLossAndRetransmission) {
@@ -148,7 +148,7 @@ TEST_F(FaultyTransport, MessageIntoPermanentBlackoutExpires) {
   });
   sim_.run();
   EXPECT_FALSE(delivered);
-  EXPECT_EQ(net_.fault_stats().expired, 1u);
+  EXPECT_EQ(plane_.total(obs::Counter::kMsgsExpired), 1u);
 }
 
 TEST_F(FaultyTransport, PartitionDelaysDeliveryUntilHeal) {
@@ -292,7 +292,7 @@ TEST_P(FaultMatrix, LossyLinksUpholdCriterion) {
   cfg.faults.drop_all(0.10);
   FaultyRig rig(protocols::by_name(GetParam()), cfg, 16, seconds(3));
   EXPECT_GT(rig.metrics.committed(), 100u) << "goodput must survive 10% loss";
-  EXPECT_GT(rig.cluster.transport().fault_stats().dropped, 0u);
+  EXPECT_GT(rig.cluster.plane().total(obs::Counter::kMsgsDropped), 0u);
   const auto r = rig.history.check_criterion(rig.cluster.spec().criterion);
   EXPECT_TRUE(r.ok) << GetParam() << ": " << r.detail;
 }

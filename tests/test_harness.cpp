@@ -3,6 +3,7 @@
 
 #include "harness/experiment.h"
 #include "harness/metrics.h"
+#include "obs/plane.h"
 #include "protocols/protocols.h"
 
 namespace gdur::harness {
@@ -137,6 +138,24 @@ TEST(Experiment, SweepReturnsOnePointPerLoad) {
   ASSERT_EQ(rs.size(), 3u);
   EXPECT_EQ(rs[0].clients, 8);
   EXPECT_EQ(rs[2].clients, 32);
+}
+
+// The plane counts retransmits from t = 0; the result reports only the
+// measured window's, leaving the warmup's out.
+TEST(Experiment, RetransmitsAreCountedOverTheWindowOnly) {
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 4});
+  ExperimentConfig cfg;
+  cfg.cluster.sites = 4;
+  cfg.cluster.objects_per_site = 1000;
+  cfg.cluster.faults.drop_all(0.05);
+  cfg.cluster.plane = &plane;
+  cfg.workload = workload::WorkloadSpec::A(0.9);
+  cfg.clients = 16;
+  cfg.warmup = seconds(0.3);
+  cfg.window = seconds(0.5);
+  const auto r = run_experiment(protocols::rc(), cfg);
+  EXPECT_GT(r.msgs_retransmitted, 0u);
+  EXPECT_LT(r.msgs_retransmitted, plane.total(obs::Counter::kRetransmits));
 }
 
 TEST(Experiment, CpuUtilizationWithinBounds) {

@@ -108,6 +108,13 @@ TEST_F(TransportTest, CountsMessagesAndBytes) {
   EXPECT_EQ(net_.bytes_sent(), 300u);
   net_.reset_accounting();
   EXPECT_EQ(net_.messages_sent(), 0u);
+  // The window counts what follows the reset; the plane keeps every send.
+  sim_.at(sim_.now(), [&] { net_.send(2, 3, 50, [] {}); });
+  sim_.run();
+  EXPECT_EQ(net_.messages_sent(), 1u);
+  EXPECT_EQ(net_.bytes_sent(), 50u);
+  EXPECT_EQ(plane_.total(obs::Counter::kMsgsSent), 3u);
+  EXPECT_EQ(plane_.total(obs::Counter::kBytesSent), 350u);
 }
 
 TEST_F(TransportTest, ClientRoundTripUsesClientLatency) {

@@ -337,6 +337,17 @@ TEST(ObsPlaneSim, FaultFreeRunHasNoViolationsTripsOrDumps) {
   EXPECT_EQ(plane.invariants().violations(), 0u);
   EXPECT_EQ(plane.watchdog().trips(), 0u);
   EXPECT_EQ(plane.dumps(), 0u);
+  // Every histogram in the catalog is recorded, and msg_bytes sizes every
+  // message the plane counts, client requests and replies included.
+  const auto snap = plane.stats().snapshot(milliseconds(500));
+  for (std::size_t h = 0; h < obs::kHistCount; ++h) {
+    std::uint64_t samples = 0;
+    for (std::uint64_t n : snap.hist[h]) samples += n;
+    EXPECT_GT(samples, 0u) << obs::hist_name(static_cast<obs::Hist>(h));
+    if (static_cast<obs::Hist>(h) == obs::Hist::kMsgBytes) {
+      EXPECT_EQ(samples, plane.total(obs::Counter::kMsgsSent));
+    }
+  }
 }
 
 // Mutation test: a seeded vote equivocation (the wire vote contradicts the

@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, ReconfigChaos,
 // The coordinator durably logs its prepare, announces it to (at most) a few
 // participants, and crashes. Nobody else may drive the epoch (the change is
 // the coordinator's pending proposal), and the cluster-level re-drive only
-// fires at ~vote_retry*32 after the action — well past this window. Only the
+// fires at ~kVoteRetry*32 after the action — well past this window. Only the
 // coordinator's WAL-replay resume path can complete the retirement in time,
 // so this test fails if recovery drops in-flight proposals on the floor.
 TEST(ReconfigRecovery, CoordinatorCrashAfterPartialAnnounceResumes) {

@@ -1,7 +1,6 @@
 // Unit tests for the discrete-event simulator and the CPU model.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -82,27 +81,6 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 5; ++i) sim.at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 5u);
-}
-
-// The log clock is per thread: a simulator stamps the lines of the thread
-// running its events, and building, running or destroying one on another
-// thread leaves this thread's clock as it was.
-TEST(Simulator, IsTheLogClockOnlyOfTheThreadRunningIt) {
-  struct Fixed : LogClock {
-    [[nodiscard]] SimTime log_now() const override { return 42; }
-  } mine;
-  set_log_clock(&mine);
-  const LogClock* inside = nullptr;
-  std::thread([&inside] {
-    Simulator other;
-    other.after(milliseconds(1), [&] { inside = log_clock(); });
-    other.run();
-    EXPECT_EQ(log_clock(), nullptr);  // restored once the run ends
-  }).join();
-  EXPECT_NE(inside, nullptr);
-  EXPECT_NE(inside, &mine);
-  EXPECT_EQ(log_clock(), &mine);
-  set_log_clock(nullptr);
 }
 
 TEST(Cpu, SingleCoreSerializesJobs) {

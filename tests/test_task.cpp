@@ -150,7 +150,7 @@ TEST(SimulatorSlab, TransportFaultPathsDropTheirHandlers) {
              [&] { f.net.cpu(1).crash_until(milliseconds(100)); });
     f.sim.run();
     EXPECT_EQ(probe.use_count(), 1);
-    EXPECT_EQ(f.net.fault_stats().expired, 1u);
+    EXPECT_EQ(f.plane.total(obs::Counter::kMsgsExpired), 1u);
   }
   {  // The receiver crashes while the handler waits for its receive charge.
     sim::CostModel slow_recv;
@@ -163,7 +163,7 @@ TEST(SimulatorSlab, TransportFaultPathsDropTheirHandlers) {
              [&] { f.net.cpu(1).crash_until(milliseconds(100)); });
     f.sim.run();
     EXPECT_EQ(probe.use_count(), 1);
-    EXPECT_EQ(f.net.fault_stats().expired, 1u);
+    EXPECT_EQ(f.plane.total(obs::Counter::kMsgsExpired), 1u);
     EXPECT_EQ(f.plane.slot(1).value(obs::Counter::kMsgsExpired), 1u);
   }
   {  // The sender gives up on a dead link.
@@ -176,7 +176,7 @@ TEST(SimulatorSlab, TransportFaultPathsDropTheirHandlers) {
     });
     f.sim.run();
     EXPECT_EQ(probe.use_count(), 1);
-    EXPECT_EQ(f.net.fault_stats().expired, 1u);
+    EXPECT_EQ(f.plane.total(obs::Counter::kMsgsExpired), 1u);
   }
   {  // A reply is lost when its site crashes before the send is charged.
     sim::CostModel slow_send;
