@@ -308,7 +308,7 @@ void Cluster::receive(SiteId from, SiteId to, const net::Msg& m) {
           },
           [&](const net::ReadRequestMsg& x) {
             r.serve_remote_read(
-                from, x.txn, x.obj,
+                x.txn, x.obj,
                 [this, from, to, req = x.req](bool ok,
                                               std::optional<store::Version> v) {
                   std::shared_ptr<const store::Version> version;

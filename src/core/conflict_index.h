@@ -10,14 +10,13 @@
 // This is the object-indexed certification of Parallel Deferred Update
 // Replication (Pacheco et al.), adapted to G-DUR's pluggable commute().
 //
-// The rewrite is exact — not a heuristic — whenever commute() is
-// *footprint-local* (transactions with disjoint footprints always commute),
-// which every predicate in protocol_spec.h satisfies. Specs with a custom
-// non-footprint-local commute() clear ProtocolSpec::commute_footprint_local
-// and fall back to the pairwise queue scan. The pairwise scan is also kept
-// as a cross-checking oracle: with GDUR_VERIFY_CERT=1 in the environment
-// (or set_verify_cert_for_testing), every indexed answer is recomputed
-// pairwise and a mismatch aborts the process.
+// The rewrite is exact — not a heuristic — because commute() is
+// *footprint-local* (transactions with disjoint footprints always commute):
+// that is the plug-in contract of ProtocolSpec::commute, and every predicate
+// in protocol_spec.h meets it. The pairwise queue scan is kept only as the
+// oracle that checks the contract: with GDUR_VERIFY_CERT=1 in the
+// environment (or set_verify_cert_for_testing), every indexed answer is
+// recomputed pairwise and a mismatch aborts the process.
 //
 // Determinism: the index is maintained at deliver/decide/crash points that
 // are themselves deterministic, buckets preserve insertion (= queue) order,
@@ -85,42 +84,16 @@ class ConflictIndex {
                               : std::optional<std::uint64_t>(it->second.pos);
   }
 
-  /// Visits every indexed transaction sharing at least one footprint object
-  /// with `t` — each exactly once, buckets in footprint order, candidates in
-  /// enqueue order within a bucket. Stops early (returning true) as soon as
-  /// `visit` returns true.
+  /// Visits every indexed transaction sharing a footprint object with `t`
+  /// that shard `shard` owns in an S-way keyspace split (DESIGN.md §14; with
+  /// `shards == 1`, every object) — each once, buckets in footprint order,
+  /// candidates in enqueue order within a bucket. Stops early (returning
+  /// true) as soon as `visit` returns true. The slices of t's touched shards
+  /// together cover every candidate; one sharing objects in several shards
+  /// is visited once per slice, so `visit` must be a pure predicate (every
+  /// caller's commute test is).
   template <typename F>
-  bool scan(const TxnRecord& t, F&& visit) const {
-    const std::uint64_t epoch = ++epoch_;
-    bool hit = false;
-    for_each_footprint(t, [&](ObjectId o) {
-      if (hit) return;
-      auto it = buckets_.find(o);
-      if (it == buckets_.end()) return;
-      for (const Node* n : it->second) {
-        if (n->visit == epoch) continue;
-        n->visit = epoch;
-        if (visit(Candidate{*n->txn, n->pos})) {
-          hit = true;
-          return;
-        }
-      }
-    });
-    return hit;
-  }
-
-  /// Shard slice of scan() (DESIGN.md §14): visits only candidates indexed
-  /// under footprint objects that shard `shard` owns in an S-way keyspace
-  /// split. OR-ing scan_shard over a transaction's touched shards covers
-  /// exactly the candidate set scan() covers — every shared object lives in
-  /// some touched shard — so a boolean query (queued_conflict) computes the
-  /// same answer from the slices. A candidate sharing objects in several
-  /// shards is visited once per slice (the per-call dedup epoch spans one
-  /// slice only); `visit` must therefore be a pure predicate, which every
-  /// caller's commute test is.
-  template <typename F>
-  bool scan_shard(const TxnRecord& t, int shard, int shards,
-                  F&& visit) const {
+  bool scan(const TxnRecord& t, int shard, int shards, F&& visit) const {
     const std::uint64_t epoch = ++epoch_;
     bool hit = false;
     for_each_footprint(t, [&](ObjectId o) {

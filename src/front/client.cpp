@@ -1,8 +1,5 @@
 #include "front/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "front/socket.h"
 #include "net/frame.h"
 
 namespace gdur::front {
@@ -23,24 +21,9 @@ constexpr auto kConnectTimeout = std::chrono::seconds(10);
 GdurClient::~GdurClient() { close(); }
 
 bool GdurClient::connect() {
-  const auto deadline = std::chrono::steady_clock::now() + kConnectTimeout;
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.port);
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1)
-    return false;
-  for (;;) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0)
-      break;
-    ::close(fd_);
-    fd_ = -1;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  fd_ = tcp_dial(cfg_.host, cfg_.port,
+                 std::chrono::steady_clock::now() + kConnectTimeout);
+  if (fd_ < 0) return false;
 
   codec::Writer w;
   w.u8(static_cast<std::uint8_t>(codec::MsgType::kClientHello));

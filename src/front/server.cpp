@@ -1,15 +1,10 @@
 #include "front/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "common/logging.h"
+#include "front/socket.h"
 #include "net/wire.h"
 #include "obs/stats.h"
 
@@ -30,27 +25,10 @@ FrontServer::~FrontServer() { stop(); }
 
 void FrontServer::start() {
   if (started_) return;
-  started_ = true;
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("front: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.port);
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1)
-    throw std::runtime_error("front: bad host " + cfg_.host);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0)
-    throw std::runtime_error("front: bind failed on " + cfg_.host + ":" +
-                             std::to_string(cfg_.port));
-  if (::listen(listen_fd_, 128) != 0)
-    throw std::runtime_error("front: listen failed");
-  sockaddr_in bound = {};
-  socklen_t blen = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
-  port_ = ntohs(bound.sin_port);
+  // A start that throws (the address cannot be bound) leaves no socket open
+  // and the server unstarted.
+  const Listener listener = tcp_listen(cfg_.host, cfg_.port, 128);
+  port_ = listener.port;
 
   // The reactor thread never touches session state: every event hops to the
   // serving site's mailbox, the same single thread the replica runs on.
@@ -66,8 +44,9 @@ void FrontServer::start() {
           on_frame(conn, std::move(f));
         });
       });
-  reactor_.add_listener(listen_fd_);
+  reactor_.add_listener(listener.fd);
   reactor_.start();
+  started_ = true;
 }
 
 void FrontServer::stop() {
@@ -164,7 +143,6 @@ void FrontServer::handle_req(Session& s, const codec::ClientReqMsg& m) {
     return;
   }
   ++s.inflight;
-  ++s.ops;
   if (stats_ != nullptr) stats_->record(obs::Counter::kClientOps);
 
   RequestCtx* ctx = pool_.get();

@@ -164,7 +164,6 @@ class FrontServer {
   live::LiveCluster& cl_;
   FrontConfig cfg_;
   Reactor reactor_;
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   bool started_ = false;
 

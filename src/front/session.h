@@ -20,7 +20,6 @@ struct Session {
   bool pushed = false;       // a Pushback{stop} is outstanding to this client
   bool closing = false;      // connection died; drop late completions
   std::uint32_t inflight = 0;  // requests received but not yet responded
-  std::uint64_t ops = 0;       // lifetime requests served
   /// Interactive transactions begun and not yet terminated, keyed by the
   /// coordinator-local sequence number handed to the client. A session
   /// vanishing with entries here is the presumed-abort path: the records

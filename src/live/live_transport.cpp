@@ -1,6 +1,5 @@
 #include "live/live_transport.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,9 +10,9 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "front/socket.h"
 #include "net/codec.h"
 #include "net/frame.h"
 #include "obs/plane.h"
@@ -27,19 +26,6 @@ using std::chrono::steady_clock;
 [[noreturn]] void fail(const char* what) {
   throw std::runtime_error(std::string("live transport: ") + what + ": " +
                            std::strerror(errno));
-}
-
-sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (host.empty() || host == "0.0.0.0") {
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    errno = EINVAL;
-    fail("bad host");
-  }
-  return addr;
 }
 
 /// Sends the framed ControlMsg hello announcing `src` on `fd` (blocking: the
@@ -67,28 +53,6 @@ SiteId read_hello(int fd, int sites) {
       hello->arg >= static_cast<std::uint64_t>(sites))
     fail("bad hello body");
   return static_cast<SiteId>(hello->arg);
-}
-
-/// Connects to `ep`, retrying every 50 ms until `deadline`: a peer process
-/// may still be booting (ECONNREFUSED just means "not yet"). In the
-/// in-process mesh every listener is bound already, so the first attempt
-/// succeeds.
-int dial(const SiteEndpoint& ep, steady_clock::time_point deadline) {
-  const sockaddr_in addr = make_addr(ep.host, ep.port);
-  for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) fail("socket");
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    // gdur-lint: allow(live/blocking-call) mesh setup on the caller's thread, before the reactor starts
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-        0)
-      return fd;
-    ::close(fd);
-    if (steady_clock::now() >= deadline) fail("peer connect timed out");
-    // gdur-lint: allow(live/blocking-call) boot-order retry pacing on the setup thread, before the reactor starts
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
 }
 
 /// Accepts one inbound link on `lfd`, waiting for it until `deadline`. (The
@@ -139,22 +103,19 @@ LiveTransport::LiveTransport(int sites, SiteId self,
 
   // 1. Bind every hosted site's listener first, so peers dialing in any
   //    boot order eventually succeed. A port of 0 binds an ephemeral one,
-  //    read back for the dialers below.
+  //    read back for the dialers below. The listeners close when the
+  //    constructor returns or throws (the reactor closes the links it was
+  //    given).
   std::vector<int> listeners;
+  struct CloseAll {
+    std::vector<int>& fds;
+    ~CloseAll() { for (int fd : fds) ::close(fd); }
+  } close_listeners{listeners};
   for (SiteId s : hosted) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) fail("socket");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr = make_addr(peers[s].host, peers[s].port);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
-      fail("bind");
-    if (::listen(fd, sites) != 0) fail("listen");
-    socklen_t len = sizeof addr;
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-      fail("getsockname");
-    peers[s].port = ntohs(addr.sin_port);
-    listeners.push_back(fd);
+    const front::Listener l =
+        front::tcp_listen(peers[s].host, peers[s].port, sites);
+    peers[s].port = l.port;
+    listeners.push_back(l.fd);
   }
 
   // 2. Dial every other site from each hosted one (a listen backlog holds
@@ -162,7 +123,8 @@ LiveTransport::LiveTransport(int sites, SiteId self,
   for (SiteId i : hosted) {
     for (SiteId j = 0; j < static_cast<SiteId>(sites); ++j) {
       if (i == j) continue;
-      const int fd = dial(peers[j], deadline);
+      const int fd = front::tcp_dial(peers[j].host, peers[j].port, deadline);
+      if (fd < 0) fail("peer connect");
       send_hello(fd, i);
       const int conn = reactor_.add_connection(fd);
       out_conn_[static_cast<std::size_t>(link_index(i, j))] = conn;
@@ -174,14 +136,13 @@ LiveTransport::LiveTransport(int sites, SiteId self,
 
   // 3. Accept and identify each hosted site's inbound links, waiting out
   //    straggling peers up to the deadline. Membership is static, so the
-  //    listener closes once every peer has dialed in.
+  //    listeners are not needed once every peer has dialed in.
   for (std::size_t h = 0; h < hosted.size(); ++h) {
     for (int k = 0; k < sites - 1; ++k) {
       const int fd = accept_by(listeners[h], deadline);
       const SiteId src = read_hello(fd, sites);
       register_inbound(reactor_.add_connection(fd), src, hosted[h]);
     }
-    ::close(listeners[h]);
   }
 
   reactor_.set_frame_handler([this](int conn_id,

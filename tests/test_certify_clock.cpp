@@ -52,6 +52,7 @@ class TickingCluster : public Cluster {
 
 struct SubVote {
   int shard;
+  int shards;
   SimTime now;
 };
 
@@ -59,7 +60,7 @@ struct SubVote {
 ProtocolSpec recording_spec(std::vector<SubVote>* log) {
   ProtocolSpec s = protocols::by_name("P-Store");
   s.certify = [log](const CertContext& ctx) {
-    log->push_back({ctx.shard, ctx.now});
+    log->push_back({ctx.shard, ctx.shards, ctx.now});
     return true;
   };
   s.certify_shardable = true;
@@ -110,7 +111,8 @@ TEST(CertifyClock, SerialPathAlsoReadsOnce) {
   EXPECT_TRUE(CertifyTestPeer::evaluate(cluster.replica(0),
                                         cross_shard_txn()));
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].shard, -1);  // full certification, no shard restriction
+  // Full certification: shard 0 of 1, no shard restriction.
+  EXPECT_TRUE(log[0].shards == 1 && log[0].shard == 0);
   EXPECT_EQ(cluster.reads(), 1);
 }
 
@@ -128,7 +130,7 @@ TEST(CertifyClock, NonShardableSpecFallsBackToOneFullVote) {
   EXPECT_TRUE(CertifyTestPeer::evaluate(cluster.replica(0),
                                         cross_shard_txn()));
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].shard, -1);
+  EXPECT_TRUE(log[0].shards == 1 && log[0].shard == 0);
   EXPECT_EQ(cluster.reads(), 1);
 }
 

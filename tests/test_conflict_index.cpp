@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "checker/history.h"
@@ -42,7 +43,7 @@ core::TxnPtr txn(SiteId coord, std::uint64_t seq,
 std::vector<TxnId> scan_ids(const core::ConflictIndex& idx,
                             const core::TxnRecord& t) {
   std::vector<TxnId> out;
-  idx.scan(t, [&](const core::ConflictIndex::Candidate& c) {
+  idx.scan(t, 0, 1, [&](const core::ConflictIndex::Candidate& c) {
     out.push_back(c.txn.id);
     return false;
   });
@@ -84,7 +85,7 @@ TEST(ConflictIndex, ScanStopsEarlyWhenVisitorReturnsTrue) {
   core::ConflictIndex idx;
   for (std::uint64_t i = 1; i <= 8; ++i) idx.add(txn(0, i, {}, {1}));
   int visited = 0;
-  const bool hit = idx.scan(*txn(1, 1, {1}, {}), [&](const auto&) {
+  const bool hit = idx.scan(*txn(1, 1, {1}, {}), 0, 1, [&](const auto&) {
     ++visited;
     return true;
   });
@@ -227,7 +228,8 @@ TEST(SdurPrunedChain, AllVisibleDeepChainStillCommits) {
 // ---------------------------------------------------------------------------
 // GDUR_VERIFY_CERT equivalence stress: indexed certification must answer
 // exactly like the pairwise queue scan, for every vote, on every protocol,
-// with deep queues under chaos faults. The cross-check runs inside
+// with deep queues under chaos faults, at one shard per site (one slice) and
+// at four (the OR of the touched slices). The cross-check runs inside
 // Replica::queued_conflict and aborts the process on the first mismatch.
 // ---------------------------------------------------------------------------
 
@@ -236,7 +238,9 @@ struct VerifyCertGuard {
   ~VerifyCertGuard() { core::set_verify_cert_for_testing(std::nullopt); }
 };
 
-TEST(VerifyCertStress, IndexedVotesMatchPairwiseOnAllProtocolsUnderChaos) {
+class VerifyCertStress : public ::testing::TestWithParam<int> {};
+
+TEST_P(VerifyCertStress, IndexedVotesMatchPairwiseOnAllProtocolsUnderChaos) {
   VerifyCertGuard verify;
   const char* kNames[] = {"P-Store", "S-DUR",  "GMU",      "Serrano",
                           "Walter",  "Jessy2pc", "RC"};
@@ -248,6 +252,7 @@ TEST(VerifyCertStress, IndexedVotesMatchPairwiseOnAllProtocolsUnderChaos) {
     cfg.sites = 4;
     cfg.replication = 2;
     cfg.objects_per_site = 24;  // high contention => deep queues
+    cfg.shards_per_site = GetParam();
     cfg.durable = true;
     cfg.term_timeout = milliseconds(500);
     cfg.client_timeout = seconds(2);
@@ -269,6 +274,12 @@ TEST(VerifyCertStress, IndexedVotesMatchPairwiseOnAllProtocolsUnderChaos) {
   EXPECT_GE(total_txns, 5'000u)
       << "the stress must exercise at least 5k transactions";
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardsPerSite, VerifyCertStress,
+                         ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gdur
