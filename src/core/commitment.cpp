@@ -57,12 +57,15 @@ class GroupCommit final : public Commitment {
     Commitment::announce(t, v);
     if (r_.has_local_writes(*t)) return;
     // A participant with nothing to apply does not need the outcome:
-    // ordering was enforced before the vote, so it leaves Q now. It may
-    // never hear the outcome either (votes flow to the write-set replicas),
-    // so arm the term-state GC that decide() would (the coordinator still
-    // tallies in this entry, and decide() arms it there).
-    auto& st = r_.state_of(t);
-    if (st.in_q && !st.decided) r_.remove_from_q(t->id);
+    // ordering was enforced before the vote, so it leaves Q now and drops
+    // its record. It may never hear the outcome either (votes flow to the
+    // write-set replicas), so the term-state GC erases its flags and tally
+    // (the coordinator still tallies here, and decide() erases it there).
+    if (r_.known_outcome(t->id) == nullptr) {
+      auto& st = r_.state_of(t);
+      if (st.in_q) r_.remove_from_q(t->id);
+      st.txn.reset();
+    }
     if (r_.site() != t->id.coord) r_.schedule_term_gc(t->id);
   }
 

@@ -56,13 +56,6 @@ void ConflictIndex::clear() {
   // queue rebuilt by WAL replay is re-indexed in replay order.
 }
 
-void RecencyIndex::note_commit(const TxnRecord& t, SimTime now) {
-  recent_.push_back(
-      CommittedInfo{.id = t.id, .rs = t.rs, .ws = t.ws, .commit_time = now});
-  while (!recent_.empty() && recent_.front().commit_time < now - window_)
-    recent_.pop_front();
-}
-
 void RecencyIndex::note_reader(ObjectId o, const ReaderInfo& r) {
   auto& readers = readers_[o];
   readers.push_back(r);

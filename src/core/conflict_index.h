@@ -24,22 +24,19 @@
 // simulator events are created or reordered. A run with the index is
 // byte-identical (traces, timelines, metrics) to one with the pairwise scan.
 //
-// RecencyIndex — the committed-transaction side of the same pipeline:
-// the bounded window of recently committed transactions and, per object,
-// the recently committed update transactions that read it (S-DUR's
+// RecencyIndex — the committed-transaction side of the same pipeline: per
+// object, the recently committed update transactions that read it (S-DUR's
 // write-read certification input, spec.track_committed_readers). Kept next
 // to ConflictIndex so queued and committed read-tracking maintenance live
 // in one place.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/obj_set.h"
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "core/shard.h"
@@ -144,15 +141,6 @@ class ConflictIndex {
   mutable std::uint64_t epoch_ = 0;
 };
 
-/// A recently committed transaction, retained for certification tests that
-/// compare against concurrent committed transactions.
-struct CommittedInfo {
-  TxnId id;
-  ObjSet rs;
-  ObjSet ws;
-  SimTime commit_time = 0;
-};
-
 /// A committed update transaction that read an object (S-DUR certification
 /// input; identified by its stamp so visibility is testable).
 struct ReaderInfo {
@@ -163,29 +151,21 @@ struct ReaderInfo {
 
 class RecencyIndex {
  public:
-  RecencyIndex(SimDuration window, std::size_t max_readers_per_object)
-      : window_(window), max_readers_(max_readers_per_object) {}
-
-  /// Records a commit in the sliding window and expires old entries.
-  void note_commit(const TxnRecord& t, SimTime now);
+  explicit RecencyIndex(std::size_t max_readers_per_object)
+      : max_readers_(max_readers_per_object) {}
 
   /// Records that committed update transaction `r` read `o`; keeps only the
   /// newest `max_readers_per_object` entries (older ones are visible in any
   /// live snapshot and can never fail the S-DUR write-read test).
   void note_reader(ObjectId o, const ReaderInfo& r);
 
-  [[nodiscard]] const std::deque<CommittedInfo>& recent() const {
-    return recent_;
-  }
   [[nodiscard]] const std::vector<ReaderInfo>* readers(ObjectId o) const {
     auto it = readers_.find(o);
     return it == readers_.end() ? nullptr : &it->second;
   }
 
  private:
-  SimDuration window_;
   std::size_t max_readers_;
-  std::deque<CommittedInfo> recent_;
   std::unordered_map<ObjectId, std::vector<ReaderInfo>> readers_;
 };
 

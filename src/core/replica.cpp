@@ -219,9 +219,9 @@ void Replica::exec_commit(const MutTxnPtr& t, std::function<void(bool)> cb) {
 // ---------------------------------------------------------------------------
 
 TermState& Replica::state_of(const TxnPtr& t) {
-  auto& st = term_[t->id];
-  if (!st.txn) st.txn = t;
-  return st;
+  auto [it, created] = term_.try_emplace(t->id);
+  if (created) it->second.txn = t;
+  return it->second;
 }
 
 void Replica::enqueue(const TxnPtr& t, TermState& st) {
@@ -395,9 +395,13 @@ void Replica::send_vote_msgs(const TxnPtr& t, bool v) {
 }
 
 void Replica::announce_vote(const TxnPtr& t, bool v) {
-  auto& st0 = state_of(t);
-  st0.my_vote = v;
-  st0.announced = true;
+  // An outcome that arrived while the verdict was computing erased the term
+  // state for good.
+  if (known_outcome(t->id) == nullptr) {
+    auto& st = state_of(t);
+    st.my_vote = v;
+    st.announced = true;
+  }
   omon_.note_vote(id_, t->id, v, cl_.now());
   oring_.append(v ? "vote_true" : "vote_false", cl_.now(), id_, t->id.coord,
                 t->id.seq);
@@ -475,25 +479,26 @@ void Replica::decide(const TxnPtr& t, bool commit, obs::AbortReason reason) {
                 t->id.seq);
   omon_.note_decided(id_, t->id, commit, cl_.now());
 
-  // Garbage-collect the termination state well after any straggler message.
+  // The sweep clears what the engine keeps for it (a Paxos acceptor slot).
   schedule_term_gc(t->id);
 
-  if (!commit) {
-    // Algorithm 2 lines 25-29.
-    if (st.in_q) remove_from_q(t->id);
-    finish_coordinator(t, false);
-    if (id_ == t->id.coord && cl_.spec().post_abort)
-      cl_.spec().post_abort(cl_, *t);
+  // Algorithm 2 lines 19-24: an in-order commit waits for the head of Q,
+  // where process_queue_head() applies it and erases its term state.
+  if (commit && ac_->applies_in_order() && st.in_q) {
+    process_queue_head();
     return;
   }
-
-  // Algorithm 2 lines 19-24.
-  if (ac_->applies_in_order() && st.in_q) {
-    process_queue_head();
-  } else {
-    if (st.in_q) remove_from_q(t->id);
+  if (st.in_q) remove_from_q(t->id);
+  // Decided and out of Q: from here on the decided cache answers for it.
+  term_.erase(t->id);
+  if (commit) {
     apply_commit(t);
+    return;
   }
+  // Algorithm 2 lines 25-29.
+  finish_coordinator(t, false);
+  if (id_ == t->id.coord && cl_.spec().post_abort)
+    cl_.spec().post_abort(cl_, *t);
 }
 
 void Replica::remember_outcome(const TxnId& id, Outcome o) {
@@ -554,12 +559,13 @@ void Replica::process_queue_head() {
     assert(it != term_.end());
     TermState& st = it->second;
     if (!st.decided) return;
-    const TxnPtr t = st.txn;
-    st.in_q = false;
+    const TxnPtr t = std::move(st.txn);
+    const bool committed = st.committed;
+    term_.erase(it);  // decided and out of Q
     q_.pop_front();
     obs_q_pops_.fetch_add(1, std::memory_order_relaxed);
     cidx_.remove(t->id);
-    if (st.committed) apply_commit(t);
+    if (committed) apply_commit(t);
   }
   ac_->on_dequeued();
 }
@@ -587,8 +593,8 @@ void Replica::apply_commit(const TxnPtr& t) {
 
   oslot_.record(obs::Counter::kApplies);
   oring_.append("apply", now, id_, txn.id.coord, txn.id.seq);
-  // Store installs, the replica-wide version index and the recency window
-  // are exactly the state shard certifier sub-votes read. The apply
+  // Store installs, the replica-wide version index and S-DUR's committed
+  // readers are exactly the state shard certifier sub-votes read. The apply
   // exclusion makes this mutation safe against them: the live sharded
   // backend holds every shard lock of this site around `fn`, the sim and
   // the serial pipeline run `fn` inline (byte-identical).
@@ -636,7 +642,6 @@ void Replica::apply_commit(const TxnPtr& t) {
       cl_.oracle().on_propagate(id_, txn.stamp);
     }
 
-    recency_.note_commit(txn, now);
     if (cl_.spec().track_committed_readers && !txn.read_only()) {
       for (ObjectId o : txn.rs) {
         if (!part.is_local(id_, o)) continue;

@@ -212,12 +212,16 @@ class Replica {
     return commit_cbs_.size();
   }
   /// Diagnostic slice of term_: how many entries are decided / parked in
-  /// the ordered queue / vote-announced. Lets a soak test tell a stuck
-  /// population (undecided, in_q) from a GC-window tail (decided).
+  /// the ordered queue / vote-announced / GC early leavers (announced, out
+  /// of Q, undecided), and decided outside Q (0: the decision erases them).
+  /// Lets a soak test tell a stuck population (undecided, in_q) from the
+  /// early leavers the term-state GC holds.
   struct TermBreakdown {
     std::size_t decided = 0;
     std::size_t in_q = 0;
     std::size_t announced = 0;
+    std::size_t left_early = 0;
+    std::size_t decided_outside_q = 0;
   };
   [[nodiscard]] TermBreakdown term_breakdown() const {
     TermBreakdown b;
@@ -226,6 +230,8 @@ class Replica {
       if (st.decided) ++b.decided;
       if (st.in_q) ++b.in_q;
       if (st.announced) ++b.announced;
+      if (!st.in_q && st.announced && !st.decided) ++b.left_early;
+      if (!st.in_q && st.decided) ++b.decided_outside_q;
     }
     return b;
   }
@@ -301,12 +307,12 @@ class Replica {
               obs::AbortReason reason = obs::AbortReason::kCertConflict);
   // --- fault-tolerance helpers (active only when the cluster runs with a
   // fault plan and a termination timeout) ---
-  /// A decided transaction's cached outcome (survives the 5s term-state GC).
+  /// A decided transaction's cached outcome.
   struct Outcome {
     bool committed = false;
     obs::AbortReason reason = obs::AbortReason::kNone;
   };
-  /// Outcome already known here? (Survives the 5s term-state GC.)
+  /// Outcome already known here?
   [[nodiscard]] const Outcome* known_outcome(const TxnId& id) const {
     auto it = decided_cache_.find(id);
     return it == decided_cache_.end() ? nullptr : &it->second;
@@ -321,11 +327,12 @@ class Replica {
   /// Coordinator-side termination timeout (§5.3 in-doubt resolution).
   void arm_term_timeout(const TxnPtr& t, int round);
   void process_queue_head();
-  /// Erases `term_[id]` and the engine's state for it (Commitment::forget)
-  /// kTermGcDelay from now, after any straggler message — or, while the id
-  /// is still in the ordered queue, another kTermGcDelay later, since
-  /// process_queue_head() requires every queued id to keep its termination
-  /// state. Appends to gc_fifo_; arms the sweep timer if none is armed.
+  /// Erases what outlives `id`'s decision kTermGcDelay from now: a GC early
+  /// leaver's term state, and the engine's state (Commitment::forget: a
+  /// Paxos acceptor slot) — or, while the id is still in the ordered queue,
+  /// another kTermGcDelay later, since process_queue_head() requires every
+  /// queued id to keep its termination state. Appends to gc_fifo_; arms the
+  /// sweep timer if none is armed.
   void schedule_term_gc(const TxnId& id);
   /// Arms the one sweep timer for the front of gc_fifo_.
   void arm_term_gc();
@@ -396,15 +403,17 @@ class Replica {
 
   std::unique_ptr<Commitment> ac_;  // the AC realization (spec.ac)
   std::deque<TxnId> q_;  // the termination queue Q of Algorithm 2
-  // Retention: an entry is created at delivery (or by a straggler message)
-  // and erased by the term-state GC kTermGcDelay after the *last* of (a)
-  // decide() and (b) a no-local-writes GC participant's early queue leave —
-  // the two paths every transaction takes exactly one of. Steady-state size
-  // is bounded by the GC window times the decision rate. The same sweep
-  // erases the engine's own per-transaction state (Paxos acceptor slots,
-  // Commitment::forget).
+  // Retention: an entry (pinning its TxnRecord) is created at submit,
+  // delivery or an earlier vote, and erased once the transaction is
+  // decided and out of Q — at the end of decide() or when
+  // process_queue_head() pops it; decided_cache_ answers for it after
+  // that. A no-local-writes GC participant's early leave drops the record
+  // but keeps the entry until the term-state GC, kTermGcDelay later, which
+  // also erases the engine's own state (Paxos acceptor slots). Size: the
+  // in-flight work plus the GC window's early leavers.
   std::unordered_map<TxnId, TermState> term_;
-  // Term-state GC: pending erasures in arming order, live from gc_head_ on.
+  // Term-state GC: pending erasures in arming order, live from gc_head_ on
+  // (decide() still pushes one, which keeps the sweep timer's schedule).
   // Each is due kTermGcDelay after it was armed, so deadlines never
   // decrease and a single timer (gc_armed_), armed for the front, serves
   // them all. A vector allocates on its first push, not at construction.
@@ -420,13 +429,16 @@ class Replica {
   static constexpr SimDuration kTermGcDelay = seconds(5);
   std::unordered_map<ObjectId, std::uint64_t> latest_seq_;  // Serrano index
   // Certification pipeline (core/conflict_index.h): queued transactions
-  // indexed by footprint object, mirroring q_ exactly; plus the bounded
-  // recently-committed window and S-DUR's per-object committed readers.
+  // indexed by footprint object, mirroring q_ exactly; plus S-DUR's
+  // per-object committed readers.
   ConflictIndex cidx_;
-  RecencyIndex recency_{kRecentWindow, kMaxTrackedReaders};
-  // Decided-transaction outcomes, retained (bounded FIFO) past the term-state
-  // GC so that retried votes and replayed log records are answered with the
-  // decision instead of reopening certification.
+  RecencyIndex recency_{kMaxTrackedReaders};
+  // Decided-transaction outcomes (bounded FIFO), the only record of a
+  // decided transaction out of Q: retried votes, late deliveries and
+  // certifications, and replayed log records are answered with the
+  // decision instead of reopening certification. The cap must outlast the
+  // 5 s straggler window: 200k covers it at up to 40k decisions/s per
+  // replica, against about 4k/s in perfbench's sim-fig3.
   std::unordered_map<TxnId, Outcome> decided_cache_;
   std::deque<TxnId> decided_fifo_;
   static constexpr std::size_t kDecidedCacheCap = 200'000;
@@ -492,7 +504,6 @@ class Replica {
 
   static constexpr int kMaxReadAttempts = 8;
   static constexpr SimDuration kReadRetryDelay = milliseconds(3);
-  static constexpr SimDuration kRecentWindow = seconds(3);
   static constexpr std::size_t kMaxTrackedReaders = 16;
   // Vote re-announcement rounds: backoff doubles up to 8x the base interval,
   // so 12 rounds outlast the transport's give_up horizon — enough for every

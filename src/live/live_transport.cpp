@@ -28,30 +28,39 @@ using std::chrono::steady_clock;
                            std::strerror(errno));
 }
 
+/// fail() for a link the reactor does not own yet: closes `fd` first.
+[[noreturn]] void fail_closing(int fd, const char* what) {
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  fail(what);
+}
+
 /// Sends the framed ControlMsg hello announcing `src` on `fd` (blocking: the
 /// handshake runs on the caller's setup thread, before the reactor starts).
+/// Closes `fd` and throws if the write fails.
 void send_hello(int fd, SiteId src) {
   net::codec::Writer w;
   w.u8(static_cast<std::uint8_t>(net::codec::MsgType::kControl));
   net::codec::encode(w, net::codec::ControlMsg{1 /* hello */, src});
-  if (!net::write_frame(fd, w.data())) fail("handshake write");
+  if (!net::write_frame(fd, w.data())) fail_closing(fd, "handshake write");
 }
 
 /// Reads the framed hello off an inbound connection; returns the announced
-/// source site. Throws on malformed input.
+/// source site. Closes `fd` and throws on malformed input.
 SiteId read_hello(int fd, int sites) {
   constexpr std::uint32_t kMaxHello = 64;
   std::vector<std::uint8_t> body;
   if (!net::read_frame(fd, body, kMaxHello) || body.empty())
-    fail("bad hello frame");
+    fail_closing(fd, "bad hello frame");
   net::codec::Reader r(body);
   const auto tag = r.u8();
   if (!tag || *tag != static_cast<std::uint8_t>(net::codec::MsgType::kControl))
-    fail("bad hello tag");
+    fail_closing(fd, "bad hello tag");
   const auto hello = net::codec::decode<net::codec::ControlMsg>(r);
   if (!hello || hello->kind != 1 ||
       hello->arg >= static_cast<std::uint64_t>(sites))
-    fail("bad hello body");
+    fail_closing(fd, "bad hello body");
   return static_cast<SiteId>(hello->arg);
 }
 

@@ -3,7 +3,8 @@
 // signal plumbing, client sessions end to end against live clusters
 // (phase reports included), presumed abort + session GC on disconnect,
 // and both backpressure layers — admission pushback and the
-// never-reading-client memory bound.
+// never-reading-client memory bound; socket setup that fails (a taken port,
+// a malformed mesh hello) leaks no descriptor.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,7 +29,9 @@
 #include "front/signals.h"
 #include "front/socket.h"
 #include "live/live_cluster.h"
+#include "live/live_transport.h"
 #include "net/codec.h"
+#include "obs/plane.h"
 #include "obs/trace.h"
 #include "protocols/protocols.h"
 
@@ -301,6 +304,34 @@ TEST(FrontServer, StartOnATakenPortThrowsAndLeaksNoSocket) {
   EXPECT_EQ(open_fds(), fds) << "the failed start leaked its socket";
   // Still unstarted: a retry binds again and fails again.
   EXPECT_THROW(second.start(), std::runtime_error);
+}
+
+// A mesh peer whose hello is malformed fails the setup, and the link that
+// carried it is closed with it: the constructor throws before the reactor
+// owns that socket.
+TEST(LiveTransport, MalformedHelloThrowsAndLeaksNoSocket) {
+  obs::ObsPlane plane(obs::ObsPlaneConfig{.sites = 2});
+  const std::size_t fds = open_fds();
+  // Site 1 is a bare listener: the mesh's dial and hello wait in its
+  // backlog. Site 0's port is bound once to find a free one, then released
+  // for the mesh to bind.
+  std::vector<live::SiteEndpoint> peers(2);
+  const int site1 = make_listener(&peers[1].port);
+  ::close(make_listener(&peers[0].port));
+  std::thread peer([port = peers[0].port] {
+    const int fd = tcp_dial("127.0.0.1", port,
+                            std::chrono::steady_clock::now() + 10s);
+    if (fd < 0) return;
+    send_raw_frame(fd, {0xff});  // not a control-message hello
+    ::close(fd);
+  });
+  EXPECT_THROW(live::LiveTransport(2, 0, peers, plane,
+                                   [](SiteId, SiteId,
+                                      std::vector<std::uint8_t>) {}),
+               std::runtime_error);
+  peer.join();
+  ::close(site1);
+  EXPECT_EQ(open_fds(), fds) << "the failed mesh setup leaked a socket";
 }
 
 TEST(FrontEndToEnd, InteractiveAndStoredAcrossProtocols) {

@@ -15,10 +15,17 @@
 // hold a steady state: the size after 100k transactions must not have grown
 // materially over the size after 50k, and must stay far below the leak
 // regime (one entry per certified-not-applied transaction).
+//
+// A term_ entry, with the TxnRecord it pins and the engine's tally,
+// lives only until its transaction is decided and out of Q; the decided
+// cache answers for it from then on, and only GC early leavers' flags and
+// tallies wait for the GC. The DecisionReleasesTermState tests check that
+// contract on every protocol, under DT and under chaos.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -206,9 +213,11 @@ TEST(ReplicaRetention, PendingEventsDoNotGrowWithDecidedTransactions) {
   }
   cluster.simulator().run_until(seconds(2));
 
+  // The load is the decisions the replicas remember: each armed a
+  // term-state GC erasure, and none is due yet.
   std::uint64_t decided = 0;
   for (SiteId s = 0; s < static_cast<SiteId>(cfg.sites); ++s)
-    decided += cluster.replica(s).term_breakdown().decided;
+    decided += cluster.replica(s).decided_cache_size();
   // A bound on the in-flight population: a few events per client's open
   // transaction (messages, CPU jobs, its think time) and one GC timer per
   // site. Measured: 95 pending here, against 4,540 with one GC timer per
@@ -217,7 +226,122 @@ TEST(ReplicaRetention, PendingEventsDoNotGrowWithDecidedTransactions) {
   ASSERT_GT(decided, 4 * bound) << "too little load to tell the regimes apart";
   EXPECT_LT(cluster.simulator().pending(), bound)
       << cluster.simulator().pending() << " events pending after " << decided
-      << " decided term entries";
+      << " decisions";
+}
+
+// --- the decision releases the termination state ---------------------------
+
+/// Drives one update transaction by hand: `coord` reads `r`, writes `w` and
+/// commits. `rec` watches its record; `outcome` receives the answer.
+void run_tracked(core::Cluster& cl, SiteId coord, ObjectId r, ObjectId w,
+                 std::weak_ptr<const core::TxnRecord>& rec,
+                 std::optional<bool>& outcome) {
+  cl.begin(coord, [&cl, coord, r, w, &rec, &outcome](core::MutTxnPtr t) {
+    rec = t;
+    cl.read(coord, t, r, [&cl, coord, t, w, &outcome](bool ok) {
+      if (!ok) {
+        outcome = false;
+        return;
+      }
+      cl.write(coord, t, w, [&cl, coord, t, &outcome] {
+        cl.commit(coord, t, [&outcome](bool c) { outcome = c; });
+      });
+    });
+  });
+}
+
+/// A run of `protocol` under `cfg` with 24 closed-loop clients, then the
+/// retention contract at every replica: no decided term entry outside Q,
+/// and every entry is queued work, a GC early leaver, or an open
+/// transaction not delivered here yet. A fault-free run (2 s) also drives
+/// one transaction per site by hand (begun at 0.3 s, reading and writing
+/// objects its coordinator does not hold) and checks that its record is
+/// freed once it is decided. Under chaos (3 s) a crash can lose a client's
+/// answer, and the durable log's records hold the transactions they
+/// replay, so that run checks the term entries only.
+void expect_released_at_decision(const char* protocol,
+                                 const core::ClusterConfig& cfg) {
+  SCOPED_TRACE(protocol);
+  const bool faults = !cfg.faults.empty();
+  core::Cluster cluster(cfg, protocols::by_name(protocol));
+  harness::Metrics metrics;
+  constexpr std::size_t kClients = 24;
+  std::vector<std::unique_ptr<workload::ClientActor>> actors;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    actors.push_back(std::make_unique<workload::ClientActor>(
+        cluster, static_cast<SiteId>(i % cfg.sites),
+        workload::WorkloadSpec::A(0.7), metrics, mix64(37'000 + i)));
+    actors.back()->start(static_cast<SimTime>(i) * microseconds(89));
+  }
+  const auto sites = static_cast<SiteId>(cfg.sites);
+  std::vector<std::weak_ptr<const core::TxnRecord>> recs(sites);
+  std::vector<std::optional<bool>> outcomes(sites);
+  if (!faults) {
+    cluster.simulator().run_until(milliseconds(300));
+    const auto& part = cluster.partitioner();
+    for (SiteId c = 0; c < sites; ++c)
+      run_tracked(cluster, c, part.object_in_partition((c + 1) % sites, 7),
+                  part.object_in_partition((c + 2) % sites, 11), recs[c],
+                  outcomes[c]);
+  }
+  cluster.simulator().run_until(faults ? seconds(3) : seconds(2));
+  EXPECT_GT(metrics.committed(), faults ? 100u : 500u);
+
+  std::size_t decisions = 0;
+  for (SiteId s = 0; s < sites; ++s) {
+    const auto& rep = cluster.replica(s);
+    const auto b = rep.term_breakdown();
+    decisions += rep.decided_cache_size();
+    EXPECT_EQ(b.decided_outside_q, 0u) << "site " << s;
+    // Each client has at most one open transaction, with at most one entry
+    // here outside Q (before its delivery, or a coordinator's after its
+    // early leave); the hand-driven ones add one per site.
+    EXPECT_LE(rep.term_table_size(), b.in_q + b.left_early + kClients + sites)
+        << "site " << s << ": in_q " << b.in_q << ", early leavers "
+        << b.left_early;
+    // Fault-free, Q holds open transactions and decided ones waiting for
+    // its head; under chaos it also holds transactions in doubt.
+    if (!faults) {
+      EXPECT_LE(b.in_q, kClients + sites) << "site " << s;
+    }
+  }
+  EXPECT_GT(decisions, 10 * kClients);
+  if (faults) return;
+  for (SiteId c = 0; c < sites; ++c) {
+    ASSERT_TRUE(outcomes[c].has_value()) << "hand-driven txn at " << c;
+    EXPECT_TRUE(recs[c].expired())
+        << "hand-driven txn at " << c << " still pinned after its decision";
+  }
+}
+
+TEST(ReplicaRetention, DecisionReleasesTermStateOnEveryProtocol) {
+  for (const char* p :
+       {"RC", "Jessy2pc", "Walter", "GMU", "S-DUR", "Serrano", "P-Store"}) {
+    core::ClusterConfig cfg;
+    cfg.objects_per_site = 1'000;
+    cfg.seed = 17;
+    expect_released_at_decision(p, cfg);
+  }
+}
+
+TEST(ReplicaRetention, DecisionReleasesTermStateUnderDt) {
+  core::ClusterConfig cfg;
+  cfg.replication = 2;
+  cfg.objects_per_site = 1'000;
+  cfg.seed = 19;
+  expect_released_at_decision("P-Store", cfg);
+}
+
+TEST(ReplicaRetention, DecisionReleasesTermStateUnderChaos) {
+  core::ClusterConfig cfg;
+  cfg.replication = 2;
+  cfg.objects_per_site = 1'000;
+  cfg.seed = 23;
+  cfg.durable = true;
+  cfg.faults = sim::FaultPlan::chaos(cfg.sites, seconds(2), 1000);
+  cfg.term_timeout = milliseconds(500);
+  cfg.client_timeout = seconds(2);
+  expect_released_at_decision("P-Store", cfg);
 }
 
 }  // namespace
