@@ -155,6 +155,10 @@ class Cluster : public comm::Port {
   /// Is site `s` currently crashed? (Always false in live mode: the live
   /// runtime is fault-free.)
   [[nodiscard]] bool site_down(SiteId s) const override;
+  /// Replica `at` erased `id`'s termination state (DESIGN.md §5), on `at`'s
+  /// execution context. The simulator keeps nothing per transaction beside
+  /// the replica; live mode drops the site's copy of the record.
+  virtual void term_released(SiteId /*at*/, const TxnId& /*id*/) {}
   /// True when a fault plan drives this run: messages can be lost.
   [[nodiscard]] bool recovery_enabled() const override {
     return fault_ != nullptr;

@@ -490,7 +490,7 @@ void Replica::decide(const TxnPtr& t, bool commit, obs::AbortReason reason) {
   }
   if (st.in_q) remove_from_q(t->id);
   // Decided and out of Q: from here on the decided cache answers for it.
-  term_.erase(t->id);
+  release_term(term_.find(t->id));
   if (commit) {
     apply_commit(t);
     return;
@@ -538,7 +538,7 @@ void Replica::sweep_term_gc() {
     // cap evicted it). A pure acceptor has a slot but no termination state
     // at all — the erase must not be gated on term_ holding the id.
     ac_->forget(id);
-    if (it != term_.end()) term_.erase(it);
+    if (it != term_.end()) release_term(it);
   }
   // Drop the swept prefix once it is at least half the vector: the entries
   // moved are never more than the pops since the last drop, so a push and
@@ -552,6 +552,13 @@ void Replica::sweep_term_gc() {
   if (!gc_fifo_.empty()) arm_term_gc();
 }
 
+void Replica::release_term(std::unordered_map<TxnId, TermState>::iterator it) {
+  assert(it != term_.end());
+  const TxnId id = it->first;
+  term_.erase(it);
+  cl_.term_released(id_, id);
+}
+
 void Replica::process_queue_head() {
   // Replicas apply updates in delivery order (mandatory for SER and above).
   while (!q_.empty()) {
@@ -561,7 +568,7 @@ void Replica::process_queue_head() {
     if (!st.decided) return;
     const TxnPtr t = std::move(st.txn);
     const bool committed = st.committed;
-    term_.erase(it);  // decided and out of Q
+    release_term(it);  // decided and out of Q
     q_.pop_front();
     obs_q_pops_.fetch_add(1, std::memory_order_relaxed);
     cidx_.remove(t->id);

@@ -181,6 +181,19 @@ class Replica {
     db_.install(o, std::move(v));
   }
 
+  /// A decided transaction's cached outcome.
+  struct Outcome {
+    bool committed = false;
+    obs::AbortReason reason = obs::AbortReason::kNone;
+  };
+  /// `id`'s outcome, if it is decided here (and still in the decided
+  /// cache). Site execution context only: live mode reads it to answer a
+  /// message about a transaction whose record this site has released.
+  [[nodiscard]] const Outcome* known_outcome(const TxnId& id) const {
+    auto it = decided_cache_.find(id);
+    return it == decided_cache_.end() ? nullptr : &it->second;
+  }
+
   /// Why a transaction this replica coordinated was aborted, for the
   /// abort-reason taxonomy. Every client (workload flows, the front door)
   /// classifies through here: an execution-phase failure is a snapshot
@@ -189,11 +202,10 @@ class Replica {
   [[nodiscard]] obs::AbortReason abort_reason(const TxnId& id,
                                               bool exec_failure) const {
     if (exec_failure) return obs::AbortReason::kSnapshotFailure;
-    auto it = decided_cache_.find(id);
-    return it == decided_cache_.end() ||
-                   it->second.reason == obs::AbortReason::kNone
+    const Outcome* o = known_outcome(id);
+    return o == nullptr || o->reason == obs::AbortReason::kNone
                ? obs::AbortReason::kCertConflict
-               : it->second.reason;
+               : o->reason;
   }
 
   // ------------------------------------------------------------------
@@ -305,27 +317,23 @@ class Replica {
   /// conflicts are the default; timeout paths pass kPresumedAbort.
   void decide(const TxnPtr& t, bool commit,
               obs::AbortReason reason = obs::AbortReason::kCertConflict);
-  // --- fault-tolerance helpers (active only when the cluster runs with a
-  // fault plan and a termination timeout) ---
-  /// A decided transaction's cached outcome.
-  struct Outcome {
-    bool committed = false;
-    obs::AbortReason reason = obs::AbortReason::kNone;
-  };
-  /// Outcome already known here?
-  [[nodiscard]] const Outcome* known_outcome(const TxnId& id) const {
-    auto it = decided_cache_.find(id);
-    return it == decided_cache_.end() ? nullptr : &it->second;
-  }
+  // --- decided cache ---
   /// Caches `id`'s outcome (bounded FIFO).
   void remember_outcome(const TxnId& id, Outcome o);
   /// A message about `t` from a site in doubt: if `t` is decided here,
   /// answers `to` with the outcome (under fault tolerance) and returns true.
   bool answer_if_decided(const TxnPtr& t, SiteId to);
+  // --- fault-tolerance helpers (active only when the cluster runs with a
+  // fault plan and a termination timeout) ---
   /// Re-announces the remembered vote with backoff until decided.
   void schedule_vote_retry(const TxnPtr& t, int round);
   /// Coordinator-side termination timeout (§5.3 in-doubt resolution).
   void arm_term_timeout(const TxnPtr& t, int round);
+  // --- termination-state lifetime ---
+  /// Erases `it`'s termination state and tells the deployment
+  /// (Cluster::term_released). Every erasure of one entry goes through
+  /// here: decide(), process_queue_head() and the term-state GC sweep.
+  void release_term(std::unordered_map<TxnId, TermState>::iterator it);
   void process_queue_head();
   /// Erases what outlives `id`'s decision kTermGcDelay from now: a GC early
   /// leaver's term state, and the engine's state (Commitment::forget: a
@@ -410,7 +418,10 @@ class Replica {
   // that. A no-local-writes GC participant's early leave drops the record
   // but keeps the entry until the term-state GC, kTermGcDelay later, which
   // also erases the engine's own state (Paxos acceptor slots). Size: the
-  // in-flight work plus the GC window's early leavers.
+  // in-flight work plus the GC window's early leavers. Each erasure of an
+  // entry is reported to the deployment (release_term), which drops its
+  // copy of the record then; a crash (simulator only) clears the table
+  // without reporting.
   std::unordered_map<TxnId, TermState> term_;
   // Term-state GC: pending erasures in arming order, live from gc_head_ on
   // (decide() still pushes one, which keeps the sweep timer's schedule).

@@ -524,28 +524,41 @@ void LiveCluster::arrive(SiteId from, SiteId to, net::Msg m) {
     auto& st = rx_state_[to];
     if (auto it = st.txns.find(id); it != st.txns.end()) {
       *ref = it->second;
-    } else if (!std::holds_alternative<net::Paxos2aMsg>(m)) {
+    } else if (!std::holds_alternative<net::Paxos2aMsg>(m) &&
+               replica(to).known_outcome(id) == nullptr) {
       st.parked[id].emplace_back(from, std::move(m));
       return;
     }
-    // An unknown id on a Paxos 2a keeps its decoded stub: an acceptor need
-    // not be a certification participant, and acceptor logic only needs the
-    // transaction's identity.
+    // Otherwise the message runs with its decoded stub (id set, epoch 0,
+    // the only epoch live mode runs). Acceptor logic needs only the
+    // transaction's identity, and an acceptor need not be a certification
+    // participant; a vote, decision or Paxos 2b about a transaction decided
+    // here is answered from the outcome before its handler reads more of
+    // the record than its id and epoch (answer_if_decided, known_outcome).
   }
   receive(from, to, m);
   if (const TxnPtr* t = full_record(m)) learn(to, *t);
 }
 
 void LiveCluster::remember(SiteId at, const TxnPtr& t) {
-  auto& st = rx_state_[at];
-  if (!st.txns.emplace(t->id, t).second) return;
-  st.txn_fifo.push_back(t->id);
-  if (st.txn_fifo.size() > kTxnCacheCap) {
-    const TxnId old = st.txn_fifo.front();
-    st.txn_fifo.pop_front();
-    st.txns.erase(old);
-    st.parked.erase(old);
-  }
+  // A record that reaches a site after its outcome would never be
+  // released: its term state is gone already.
+  if (replica(at).known_outcome(t->id) != nullptr) return;
+  rx_state_[at].txns.emplace(t->id, t);
+}
+
+void LiveCluster::term_released(SiteId at, const TxnId& id) {
+  rx_state_[at].txns.erase(id);
+}
+
+std::size_t LiveCluster::records_held(SiteId s) const {
+  return rx_state_[s].txns.size();
+}
+
+std::size_t LiveCluster::parked_count(SiteId s) const {
+  std::size_t n = 0;
+  for (const auto& [id, msgs] : rx_state_[s].parked) n += msgs.size();
+  return n;
 }
 
 void LiveCluster::learn(SiteId at, const TxnPtr& t) {

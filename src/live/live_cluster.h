@@ -19,7 +19,8 @@
 //     mutation on the apply path runs on the site thread holding ALL of the
 //     site's shard mutexes (Cluster::with_apply_exclusion). Writer-holds-all
 //     vs. reader-holds-at-least-one makes every certify-visible structure
-//     (store chains, version index, recency window) safe to read off-thread.
+//     (store chains, version index, S-DUR's committed readers) safe to read
+//     off-thread.
 //     The verdict re-enters the site mailbox, so everything downstream of
 //     cast_vote stays single-threaded.
 //   * One reactor thread moves bytes; it never touches protocol state —
@@ -38,7 +39,10 @@
 // broadcast for AB-Cast, reliable multicast for 2PC / Paxos Commit. The one
 // live-only receive step resolves messages the codec ships as a transaction
 // id (votes, decisions, Paxos rounds) against the records the site has sent
-// or received in full.
+// or received in full. A site keeps a record until its replica erases the
+// transaction's termination state (term_released); a message about a
+// transaction decided here runs with its decoded stub, answered from the
+// outcome, and any other is parked until its record arrives.
 //
 // What the simulator guarantees that live mode does not: determinism (thread
 // and network scheduling are real), analytic CPU cost accounting (real CPU
@@ -48,7 +52,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -156,6 +159,13 @@ class LiveCluster : public core::Cluster {
     return self_ == kNoSite || s == self_;
   }
 
+  /// Retention probes: the records site `s` holds to resolve id-only
+  /// messages, and the messages parked there for a record not yet
+  /// received. They read site-thread state: valid once stop() has joined
+  /// the threads (or before start()).
+  [[nodiscard]] std::size_t records_held(SiteId s) const;
+  [[nodiscard]] std::size_t parked_count(SiteId s) const;
+
  protected:
   /// A client request posts straight onto the coordinator's mailbox; the
   /// reply is a plain call there (clients run on their site's thread).
@@ -167,16 +177,20 @@ class LiveCluster : public core::Cluster {
   /// mailbox idle or at its size cap; the batcher is site-thread only, like
   /// every send, so it needs no lock.
   void ship(SiteId from, SiteId to, net::Msg m) override;
+  /// Drops site `at`'s record of `id`: its replica erased the termination
+  /// state, and the decided cache answers for the transaction from now on.
+  void term_released(SiteId at, const TxnId& id) override;
 
  private:
   /// Per-site receive state. Touched only by the site's mailbox thread.
   struct SiteState {
-    /// Records this site sent or received in full, by id.
+    /// Records this site sent or received in full, by id, kept until the
+    /// site's replica erases their termination state (term_released).
     std::unordered_map<TxnId, core::TxnPtr> txns;
-    std::deque<TxnId> txn_fifo;  // bounded GC, mirrors Replica's caches
     /// Id-only messages that arrived before their record (links from
     /// different senders are not mutually ordered), with their senders, in
-    /// arrival order.
+    /// arrival order. A message about a transaction decided here is never
+    /// parked.
     std::unordered_map<TxnId, std::vector<std::pair<SiteId, net::Msg>>>
         parked;
   };
@@ -193,10 +207,12 @@ class LiveCluster : public core::Cluster {
   /// Decodes a frame that arrived on the (src, dst) link.
   void on_frame(SiteId src, SiteId dst, const std::vector<std::uint8_t>& frame);
   /// The one live-only receive step: an id-only transaction reference is
-  /// resolved against the records `to` knows — or the message parked until
-  /// its record arrives — then Cluster::receive runs the message.
+  /// resolved against the records `to` holds, kept as its stub when `to`
+  /// knows the outcome (or for a Paxos 2a), or else the message is parked
+  /// until its record arrives; then Cluster::receive runs the message.
   void arrive(SiteId from, SiteId to, net::Msg m);
-  /// Records `t` at `at` if its id is unknown there (the first record wins).
+  /// Records `t` at `at` if its id is unknown there (the first record wins)
+  /// and its outcome is not known there yet.
   void remember(SiteId at, const core::TxnPtr& t);
   /// remember(), then runs the messages parked for `t`.
   void learn(SiteId at, const core::TxnPtr& t);
@@ -204,8 +220,6 @@ class LiveCluster : public core::Cluster {
   void flush_batch(SiteId from, SiteId to);
   /// Ships every pending batch of `from` (the mailbox idle hook).
   void flush_batches(SiteId from);
-
-  static constexpr std::size_t kTxnCacheCap = 200'000;
 
   /// (site, shard) → certifier worker mailbox / shard-slice mutex. Built in
   /// the constructor iff shard lanes are enabled; empty means serial mode.

@@ -21,15 +21,25 @@
 // cache answers for it from then on, and only GC early leavers' flags and
 // tallies wait for the GC. The DecisionReleasesTermState tests check that
 // contract on every protocol, under DT and under chaos.
+//
+// A live site keeps its own copy of each record it sent or received in full,
+// to resolve the votes, decisions and Paxos rounds the codec ships as an id,
+// and drops it when the replica erases the term entry. The Live tests check
+// that after real runs, and that a straggler reaching a site after the
+// decision is answered from the decided cache rather than parked.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/cluster.h"
 #include "harness/metrics.h"
+#include "live/live_cluster.h"
 #include "protocols/protocols.h"
 #include "workload/client.h"
 
@@ -342,6 +352,168 @@ TEST(ReplicaRetention, DecisionReleasesTermStateUnderChaos) {
   cfg.term_timeout = milliseconds(500);
   cfg.client_timeout = seconds(2);
   expect_released_at_decision("P-Store", cfg);
+}
+
+// --- a live site's record map follows the term state -------------------------
+
+using namespace std::chrono_literals;
+
+/// Runs `fn` on site `s`'s mailbox thread and returns its result: the way to
+/// read site-thread state while the cluster runs.
+template <typename F>
+auto on_site(live::LiveCluster& cl, SiteId s, F fn) {
+  std::promise<decltype(fn())> p;
+  auto f = p.get_future();
+  cl.post(s, [&p, &fn] { p.set_value(fn()); });
+  return f.get();
+}
+
+/// Polls `done` every 2 ms for up to `limit`; returns its last answer.
+template <typename F>
+bool poll_until(F done, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
+}
+
+/// A short closed-loop live run of `protocol` on 3 sites, drained and
+/// stopped; then, at every site, the records held for id-only messages are
+/// no more than the replica's term entries, and nothing is parked.
+/// `delay_scale` > 0 spaces the links, so votes trail deliveries.
+void expect_live_records_follow_term_state(const char* protocol,
+                                           double delay_scale) {
+  SCOPED_TRACE(protocol);
+  constexpr int kSites = 3;
+  live::LiveConfig lc;
+  lc.base.sites = kSites;
+  lc.base.objects_per_site = 1'000;
+  lc.base.seed = 41;
+  lc.delay_scale = delay_scale;
+  live::LiveCluster cl(lc, protocols::by_name(protocol));
+  // One Metrics per site: a client records on its site's thread.
+  std::vector<harness::Metrics> metrics(kSites);
+  std::vector<std::unique_ptr<workload::ClientActor>> actors;
+  cl.start();
+  for (int i = 0; i < 4 * kSites; ++i) {
+    const auto site = static_cast<SiteId>(i % kSites);
+    actors.push_back(std::make_unique<workload::ClientActor>(
+        cl, site, workload::WorkloadSpec::A(0.7), metrics[site],
+        mix64(43'000 + static_cast<std::uint64_t>(i))));
+    actors.back()->start(cl.now());
+  }
+  std::this_thread::sleep_for(300ms);
+  for (auto& a : actors) a->stop();
+  const bool drained = poll_until(
+      [&] {
+        for (const auto& a : actors)
+          if (!a->idle()) return false;
+        return true;
+      },
+      5s);
+  // Answers are in; let the last votes, decisions and acks land.
+  std::this_thread::sleep_for(100ms);
+  cl.stop();
+  ASSERT_TRUE(drained) << "clients did not finish";
+
+  std::uint64_t committed = 0;
+  for (const auto& m : metrics) committed += m.committed();
+  EXPECT_GT(committed, 20u);
+  for (SiteId s = 0; s < kSites; ++s) {
+    EXPECT_LE(cl.records_held(s), cl.replica(s).term_table_size())
+        << "site " << s << " holds records its replica has released";
+    EXPECT_EQ(cl.parked_count(s), 0u) << "site " << s;
+  }
+  EXPECT_EQ(cl.plane().invariants().violations(), 0u);
+}
+
+TEST(ReplicaRetention, LiveRecordsFollowTermStateOnEveryProtocol) {
+  for (const char* p :
+       {"RC", "Jessy2pc", "Walter", "GMU", "S-DUR", "Serrano", "P-Store"})
+    expect_live_records_follow_term_state(p, 0.0);
+  // Spaced links: votes and decisions trail the deliveries they follow on
+  // other links, so they park until their record arrives.
+  expect_live_records_follow_term_state("P-Store", 0.1);
+}
+
+// A retried vote and a duplicate decision reach the coordinator of a
+// 2PC transaction after it decided and released the record. Both run with
+// their decoded stubs and are answered from the decided cache: nothing is
+// parked, and neither the record map nor the term table grows.
+TEST(ReplicaRetention, LiveStragglersAfterReleaseAreAnsweredNotParked) {
+  live::LiveConfig lc;
+  lc.base.sites = 3;
+  lc.base.objects_per_site = 1'000;
+  live::LiveCluster cl(lc, protocols::by_name("Jessy2pc"));
+  cl.start();
+  // Coordinated at site 0, certified by sites 1 and 2.
+  const auto& part = cl.partitioner();
+  const ObjectId r = part.object_in_partition(1, 7);
+  const ObjectId w1 = part.object_in_partition(1, 11);
+  const ObjectId w2 = part.object_in_partition(2, 13);
+  std::promise<std::pair<TxnId, bool>> answer;
+  cl.begin(0, [&](core::MutTxnPtr t) {
+    cl.read(0, t, r, [&, t](bool ok) {
+      if (!ok) {
+        answer.set_value({t->id, false});
+        return;
+      }
+      cl.write(0, t, w1, [&, t] {
+        cl.write(0, t, w2, [&, t] {
+          cl.commit(0, t, [&, t](bool c) { answer.set_value({t->id, c}); });
+        });
+      });
+    });
+  });
+  auto done = answer.get_future();
+  ASSERT_EQ(done.wait_for(5s), std::future_status::ready);
+  const auto [id, committed] = done.get();
+  ASSERT_TRUE(committed);
+  // Every participant decided and released its copy of the record.
+  for (SiteId s = 1; s < 3; ++s)
+    ASSERT_TRUE(poll_until(
+        [&] {
+          return on_site(cl, s, [&] {
+            return cl.replica(s).known_outcome(id) != nullptr;
+          });
+        },
+        5s))
+        << "site " << s << " never decided";
+  struct Held {
+    std::size_t records, term, parked;
+  };
+  const auto held_at_0 = [&] {
+    return on_site(cl, 0, [&] {
+      return Held{cl.records_held(0), cl.replica(0).term_table_size(),
+                  cl.parked_count(0)};
+    });
+  };
+  const Held before = held_at_0();
+  ASSERT_EQ(before.records, 0u) << "the coordinator still holds the record";
+
+  // Site 1 repeats its (true) vote and answers with the outcome, in that
+  // link's order: the decision first, so the vote's count marks both done.
+  const auto votes_at_0 = [&] {
+    return cl.plane().slot(0).value(obs::Counter::kVotesRecv);
+  };
+  const std::uint64_t votes_before = votes_at_0();
+  cl.post(1, [&cl, id] {
+    auto stub = std::make_shared<core::TxnRecord>();
+    stub->id = id;
+    cl.send(1, 0, net::DecisionMsg{stub, true});
+    cl.send(1, 0, net::VoteMsg{stub, true});
+  });
+  const bool answered =
+      poll_until([&] { return votes_at_0() > votes_before; }, 2s);
+  const Held after = held_at_0();
+  cl.stop();
+  EXPECT_TRUE(answered) << "the straggler vote never ran";
+  EXPECT_EQ(after.parked, 0u);
+  EXPECT_EQ(after.records, before.records);
+  EXPECT_EQ(after.term, before.term);
+  EXPECT_EQ(cl.plane().invariants().violations(), 0u);
 }
 
 }  // namespace
